@@ -40,6 +40,7 @@ from repro.faultsim import build_fault_list
 from repro.faultsim.engine import grade, get_engine
 from repro.faultsim.lowering import clear_program_cache
 from repro.faultsim.observe import ObservePlan
+from repro.faultsim.options import GradeOptions
 from repro.faultsim.trace_cache import global_trace_cache
 from repro.plasma.components import build_component
 
@@ -81,8 +82,8 @@ def _bench_component(name, patterns, observe, quick, lines, failures):
     clear_program_cache()
 
     started = time.perf_counter()
-    differential = grade(netlist, patterns, fault_list,
-                         engine="differential", observe=observe, name=name)
+    differential = grade(netlist, patterns, fault_list, GradeOptions(
+        engine="differential", observe=observe, name=name))
     diff_seconds = time.perf_counter() - started
 
     # Batch engine: interpreted and slow; quick mode samples fault classes.
@@ -106,16 +107,16 @@ def _bench_component(name, patterns, observe, quick, lines, failures):
     clear_program_cache()
     cache.reset_stats()
     started = time.perf_counter()
-    cold = grade(netlist, patterns, fault_list,
-                 engine="compiled", observe=observe, name=name)
+    cold = grade(netlist, patterns, fault_list, GradeOptions(
+        engine="compiled", observe=observe, name=name))
     cold_seconds = time.perf_counter() - started
     cold_lookups = cache.stats.lookups
     cold_hits = cache.stats.hits
 
     # Compiled, cache-warm: the good trace and program are reused.
     started = time.perf_counter()
-    warm = grade(netlist, patterns, fault_list,
-                 engine="compiled", observe=observe, name=name)
+    warm = grade(netlist, patterns, fault_list, GradeOptions(
+        engine="compiled", observe=observe, name=name))
     warm_seconds = time.perf_counter() - started
     warm_hits = cache.stats.hits - cold_hits
     warm_lookups = cache.stats.lookups - cold_lookups

@@ -8,7 +8,7 @@ levelized netlist alone.  :func:`build_fault_list` already applies the
 textbook gate-local controlling-value merges; this module layers two more
 equivalence families and a dominance relation on top of the resulting
 classes, producing a :class:`CollapseMap` the whole grading stack can
-thread through (``grade(collapse=...)``, shard planning, checkpoint
+thread through (``GradeOptions(collapse=...)``, shard planning, checkpoint
 fingerprints).
 
 Equivalence families added here (both merge *classes* of the base list

@@ -111,9 +111,13 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     )
     if args.coverage:
         from repro.core.campaign import grade_program
+        from repro.faultsim.options import GradeOptions
 
         print(f"== grading phases {args.phases} (engine: {args.engine}) ==")
-        outcome = grade_program(self_test, verbose=True, engine=args.engine)
+        outcome = grade_program(
+            self_test, verbose=True,
+            options=GradeOptions(engine=args.engine),
+        )
         summary = outcome.summary
         print(
             f"overall FC {summary.overall_coverage:.2f}% "
@@ -147,7 +151,6 @@ def _campaign_runtime(args: argparse.Namespace) -> RuntimeConfig | None:
         checkpoint_dir=args.checkpoint,
         resume=args.resume,
         isolate=not args.no_isolate,
-        engine=args.engine,
         jobs=args.jobs,
     )
 
@@ -171,7 +174,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"== campaign: phases {phases} ==")
         outcomes[phases] = run_campaign(
             phases, components=components, verbose=True, runtime=runtime,
-            jobs=args.jobs, options=options,
+            options=options,
         )
         if args.cache_dir is not None:
             outcome = outcomes[phases]

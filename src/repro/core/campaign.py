@@ -125,35 +125,15 @@ class CampaignOutcome:
         return rows
 
 
-def _campaign_options(
-    options: GradeOptions | None,
-    runtime: RuntimeConfig | None = None,
-    prune_untestable: bool | str = False,
-    engine: str = "auto",
-    collapse: bool = False,
-) -> GradeOptions:
-    """One :class:`GradeOptions` per campaign, from either convention.
-
-    Campaign entry points accept both the options object and the legacy
-    per-feature keywords; unlike :func:`repro.faultsim.grade` the legacy
-    spellings stay silent here (the CLI and benchmarks still route
-    through them), they are simply folded into one object.  A passed
-    ``options`` wins outright.
-    """
+def _campaign_options(options: GradeOptions | None) -> GradeOptions:
+    """The campaign's :class:`GradeOptions` (the defaults for ``None``)."""
     if options is None:
-        return GradeOptions(
-            engine=engine,
-            prune_untestable=prune_untestable,
-            collapse=collapse,
-            runtime=runtime,
-        )
+        return GradeOptions()
     if options.collapse_map is not None:
         raise FaultSimError(
             "campaign-level options must use collapse=True/False; a "
             "precomputed CollapseMap is bound to a single netlist"
         )
-    if options.runtime is None and runtime is not None:
-        return options.replace(runtime=runtime)
     return options
 
 
@@ -206,9 +186,6 @@ def grade_component(
     observe: ObserveSpec,
     netlist_transform: NetlistTransform | None = None,
     netlist: Netlist | None = None,
-    prune_untestable: bool | str = False,
-    engine: str = "auto",
-    collapse: bool = False,
     options: GradeOptions | None = None,
 ) -> CampaignResult:
     """Fault-grade one component against its traced stimulus.
@@ -218,20 +195,9 @@ def grade_component(
             before grading (e.g. a technology remap for experiment C3).
         netlist: pre-built (and pre-transformed) netlist to grade; when
             given, ``netlist_transform`` is not applied again.
-        prune_untestable: pruning mode as accepted by
-            :func:`repro.faultsim.grade` — ``True``/``"structural"``
-            skips (doesn't simulate) the SCOAP-screened classes with
-            coverage unchanged; ``"proven"`` additionally SAT-certifies
-            them and excludes the proven-redundant subset from the FC
-            denominator.
-        engine: fault-sim engine name or ``"auto"`` (see
-            :func:`repro.faultsim.engine.engine_names`).
-        collapse: grade through the structural collapse map
-            (:mod:`repro.analysis.collapse`) — fewer classes simulated,
-            identical coverage.
-        options: consolidated grading options; wins over the individual
-            keywords above.  The component's traced ``observe`` spec and
-            name are stamped on internally.
+        options: the grading options (engine, pruning, collapsing,
+            persistent cache, packed lanes).  The component's traced
+            ``observe`` spec and name are stamped on internally.
     """
     if netlist is None:
         netlist = info.builder()
@@ -241,11 +207,9 @@ def grade_component(
         # The program never excited this component (e.g. a prefix program
         # without its routine): everything stays undetected.
         return CampaignResult(info.name, build_fault_list(netlist))
-    base = _campaign_options(
-        options, prune_untestable=prune_untestable, engine=engine,
-        collapse=collapse,
+    opts = _campaign_options(options).replace(
+        observe=observe, name=info.name, subset=None
     )
-    opts = base.replace(observe=observe, name=info.name, subset=None)
     return grade(netlist, stimulus, options=opts)
 
 
@@ -400,10 +364,6 @@ def grade_traced(
     verbose: bool = False,
     netlist_transform: NetlistTransform | None = None,
     runtime: RuntimeConfig | None = None,
-    prune_untestable: bool | str = False,
-    engine: str = "auto",
-    jobs: int | None = None,
-    collapse: bool = False,
     options: GradeOptions | None = None,
 ) -> CampaignOutcome:
     """Fault-grade already-traced stimulus (the grading stage alone).
@@ -416,50 +376,39 @@ def grade_traced(
     Args:
         specs: ``tracer.finalize()`` output — per component name, the
             ``(stimulus, observe)`` pair captured during execution.
-        jobs: number of parallel grading workers.  ``None`` defers to
-            ``runtime.jobs`` (default 1 = serial).  With more than one
-            worker, each component's collapsed fault universe is sharded
+        runtime: where and how resiliently to grade.  ``None`` grades
+            serially in-process.  ``runtime.jobs == 1`` routes each
+            component through the resilient
+            :class:`~repro.runtime.JobRunner`; with more workers each
+            component's fault universe is sharded
             (:func:`repro.runtime.sharding.plan_shards`) and fanned over
-            a persistent pool; the merged outcome is bit-identical to the
-            serial run (DESIGN.md Section 11).
-        collapse: grade through the structural collapse map
-            (:mod:`repro.analysis.collapse`): only super-class
-            representatives are simulated and dominated verdicts are
-            inferred.  Coverage and detected sets are bit-identical to
-            ``collapse=False`` (only ``n_simulated``/``n_inferred``
-            accounting differs), so journaled component records remain
-            reusable across the flag; sharded runs stamp the collapse
-            hash into shard fingerprints because shard bounds then index
-            a different universe.
-        options: consolidated grading options (engine, pruning,
-            collapsing, persistent cache, packed lanes); wins over the
-            individual legacy keywords.
+            a persistent pool, and the merged outcome is bit-identical
+            to the serial run (DESIGN.md Section 11).
+        options: the grading options (engine, pruning, collapsing,
+            reach screen, persistent cache, packed lanes).  With
+            ``collapse=True`` only super-class representatives are
+            simulated; coverage and detected sets are bit-identical
+            either way, so journaled component records stay reusable
+            across the flag, while sharded runs stamp the collapse hash
+            into shard fingerprints because shard bounds then index a
+            different universe.
     """
-    opts = _campaign_options(
-        options, runtime=runtime, prune_untestable=prune_untestable,
-        engine=engine, collapse=collapse,
-    )
+    opts = _campaign_options(options)
     if opts.reach_report is not None:
         raise FaultSimError(
             "campaign-level options must use reach=True/False; a "
             "precomputed ReachReport is bound to a single "
             "(program, component) pair"
         )
-    effective_jobs = jobs
-    if effective_jobs is None:
-        effective_jobs = runtime.jobs if runtime is not None else 1
-    if effective_jobs < 1:
-        raise ReproRuntimeError(f"jobs must be >= 1, got {effective_jobs}")
-
     reach_info = _program_reach(self_test) if opts.reach_requested else None
     outcome = CampaignOutcome(
         phases=self_test.phases, self_test=self_test, cpu_result=cpu_result
     )
     wanted = set(components) if components is not None else None
-    if effective_jobs > 1:
+    if runtime is not None and runtime.jobs > 1:
         _grade_traced_parallel(
             outcome, self_test, specs, wanted, verbose, netlist_transform,
-            runtime, opts, effective_jobs, reach_info,
+            runtime, opts, reach_info,
         )
         return outcome
     runner = JobRunner(runtime) if runtime is not None else None
@@ -569,9 +518,8 @@ def _grade_traced_parallel(
     wanted: set[str] | None,
     verbose: bool,
     netlist_transform: NetlistTransform | None,
-    runtime: RuntimeConfig | None,
+    runtime: RuntimeConfig,
     options: GradeOptions,
-    jobs: int,
     reach_info: tuple[str, dict[str, list[Pattern]]] | None = None,
 ) -> None:
     """Shard every component's fault universe over a persistent pool.
@@ -603,8 +551,7 @@ def _grade_traced_parallel(
     from repro.runtime.pool import ShardScheduler
     from repro.runtime.sharding import ShardTask, plan_shards
 
-    config = runtime if runtime is not None else RuntimeConfig(jobs=jobs)
-    if not config.isolate:
+    if not runtime.isolate:
         raise ReproRuntimeError(
             "parallel sharded grading requires worker isolation; "
             "jobs > 1 cannot be combined with isolate=False"
@@ -627,7 +574,7 @@ def _grade_traced_parallel(
     # bounds keeps every word fully occupied (verdicts are identical
     # for any partition — this is purely a throughput knob).
     lane_align = (
-        options.lanes - 1 if options.effective_engine() == "packed" else 1
+        options.lanes - 1 if options.engine == "packed" else 1
     )
 
     try:
@@ -730,7 +677,7 @@ def _grade_traced_parallel(
             comp_tasks: list[ShardTask] = []
             if universe_size > 0:
                 shards = plan_shards(
-                    universe_size, jobs, lane_align=lane_align
+                    universe_size, runtime.jobs, lane_align=lane_align
                 )
                 base = _job_fingerprint(
                     self_test, info, netlist_transform, options
@@ -759,8 +706,7 @@ def _grade_traced_parallel(
             ))
 
         scheduler = ShardScheduler(
-            config, jobs=jobs,
-            initializer=install_shard_context, initargs=(context,),
+            runtime, initializer=install_shard_context, initargs=(context,),
         )
         shard_outcomes = scheduler.run(tasks, serialize=shard_record)
     finally:
@@ -846,10 +792,6 @@ def grade_program(
     verbose: bool = False,
     netlist_transform: NetlistTransform | None = None,
     runtime: RuntimeConfig | None = None,
-    prune_untestable: bool | str = False,
-    engine: str = "auto",
-    jobs: int | None = None,
-    collapse: bool = False,
     options: GradeOptions | None = None,
 ) -> CampaignOutcome:
     """Execute any program on the traced CPU and fault-grade components.
@@ -861,22 +803,13 @@ def grade_program(
     Args:
         runtime: route the per-component jobs through the resilient
             :class:`~repro.runtime.JobRunner` (isolation, timeout, retry,
-            checkpoint/resume, graceful degradation).  None keeps the
+            checkpoint/resume, graceful degradation) or, with
+            ``runtime.jobs > 1``, the sharded pool.  None keeps the
             historical serial in-process path.
-        prune_untestable: skip simulation of structurally untestable
-            fault classes (SCOAP screener); coverage is unchanged, only
-            simulation time is saved.
-        engine: fault-sim engine name or ``"auto"``.  An explicit
-            ``runtime.engine`` takes over when this stays ``"auto"``.
+        options: the :class:`GradeOptions` (see :func:`grade_traced`).
             Engine choice is *not* part of the checkpoint fingerprint:
             verdicts are engine-invariant, so a resumed campaign may
             freely switch engines and still reuse journaled results.
-        jobs: parallel grading workers (see :func:`grade_traced`).
-        collapse: grade through the structural collapse map; verdicts
-            and coverage are bit-identical either way (see
-            :func:`grade_traced`).
-        options: consolidated :class:`GradeOptions`; wins over the
-            individual legacy keywords (see :func:`grade_traced`).
     """
     cpu_result, tracer, _memory = execute_self_test(self_test)
     specs = tracer.finalize()
@@ -888,10 +821,6 @@ def grade_program(
         verbose=verbose,
         netlist_transform=netlist_transform,
         runtime=runtime,
-        prune_untestable=prune_untestable,
-        engine=engine,
-        jobs=jobs,
-        collapse=collapse,
         options=options,
     )
 
@@ -903,10 +832,6 @@ def run_campaign(
     verbose: bool = False,
     netlist_transform: NetlistTransform | None = None,
     runtime: RuntimeConfig | None = None,
-    prune_untestable: bool | str = False,
-    engine: str = "auto",
-    jobs: int | None = None,
-    collapse: bool = False,
     options: GradeOptions | None = None,
 ) -> CampaignOutcome:
     """Full pipeline for one phase configuration.
@@ -918,19 +843,12 @@ def run_campaign(
             the summary then only aggregates the graded subset.
         methodology: custom methodology instance (for ablations).
         verbose: print per-component progress with timings.
-        runtime: resilient-runner configuration (see
-            :func:`grade_program`); None = serial in-process grading.
-        engine: fault-sim engine name or ``"auto"`` (see
-            :func:`grade_program`).
-        jobs: parallel grading workers; the merged outcome is
-            bit-identical to ``jobs=1`` (see :func:`grade_traced`).
-        collapse: simulate only super-class representatives of the
-            structural collapse map and infer dominated verdicts;
-            Table 4/5 numbers are bit-identical either way (see
-            :func:`grade_traced`).
-        options: consolidated :class:`GradeOptions` (engine, pruning,
-            collapsing, persistent cache, packed lanes); wins over the
-            individual legacy keywords.
+        runtime: resilient-runner and worker-count configuration (see
+            :func:`grade_traced`); None = serial in-process grading.
+        options: the :class:`GradeOptions` (engine, pruning, collapsing,
+            reach screen, persistent cache, packed lanes); Table 4/5
+            numbers are bit-identical under every engine, collapse and
+            reach choice (see :func:`grade_traced`).
 
     Returns:
         The campaign outcome with Table 4/5 data attached.
@@ -943,9 +861,5 @@ def run_campaign(
         verbose=verbose,
         netlist_transform=netlist_transform,
         runtime=runtime,
-        prune_untestable=prune_untestable,
-        engine=engine,
-        jobs=jobs,
-        collapse=collapse,
         options=options,
     )

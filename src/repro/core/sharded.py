@@ -1,10 +1,10 @@
 """Sharded (parallel) fault-grading: worker-side jobs and the merge.
 
-The parallel campaign path (``run_campaign(..., jobs=N)``) splits every
-component's collapsed fault universe into contiguous shards
-(:func:`repro.runtime.sharding.plan_shards`) and fans them out over the
-persistent worker pool (:mod:`repro.runtime.pool`).  This module holds
-the three pieces the split needs:
+The parallel campaign path (``runtime=RuntimeConfig(jobs=N)`` on any
+campaign entry point) splits every component's collapsed fault universe
+into contiguous shards (:func:`repro.runtime.sharding.plan_shards`) and
+fans them out over the persistent worker pool (:mod:`repro.runtime.pool`).
+This module holds the three pieces the split needs:
 
 * a **campaign context** installed in every pool worker — the traced
   per-component stimulus/observability, the netlist transform and the
@@ -36,9 +36,8 @@ from repro.faultsim.engine import (
     FaultSimEngine,
     Stimulus,
     _grade_collapsed,
-    default_engine_name,
-    get_engine,
     prune_sets,
+    select_engine,
 )
 from repro.faultsim.faults import FaultList, build_fault_list
 from repro.faultsim.harness import CampaignResult
@@ -160,13 +159,7 @@ def _component_state(name: str) -> _ComponentState:
         context.observe[name], len(stimulus), netlist
     )
     opts = context.options
-    engine_name = opts.effective_engine()
-    if engine_name == "auto":
-        engine_name = default_engine_name(netlist)
-    engine = get_engine(engine_name)
-    configure = getattr(engine, "configure", None)
-    if configure is not None:
-        configure(opts)
+    engine = select_engine(netlist, opts)
     skip, proven = prune_sets(netlist, fault_list, opts.prune_mode)
     cmap = None
     universe = reps

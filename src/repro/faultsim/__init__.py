@@ -31,8 +31,8 @@ picks an engine (``"auto"``) and returns a
   by every engine;
 * :mod:`~repro.faultsim.differential` — per-fault event-driven faulty
   simulation against stored good values, with fault dropping;
-* :mod:`~repro.faultsim.harness` — component campaigns: apply a pattern set
-  or a traced cycle sequence, honouring per-pattern/per-cycle observability;
+* :mod:`~repro.faultsim.harness` — :class:`CampaignResult`, the per-component
+  grading outcome every engine returns;
 * :mod:`~repro.faultsim.coverage` — FC / MOFC reports (the paper's Table 5
   quantities).
 """
@@ -62,13 +62,7 @@ from repro.faultsim.options import (
     GradeOptions,
     resolve_prune_mode,
 )
-from repro.faultsim.harness import (
-    CampaignResult,
-    CombinationalCampaign,
-    SequentialCampaign,
-    run_combinational,
-    run_sequential,
-)
+from repro.faultsim.harness import CampaignResult
 from repro.faultsim.engine import (
     BatchEngine,
     CompiledEngine,
@@ -109,10 +103,6 @@ __all__ = [
     "GradeOptions",
     "resolve_prune_mode",
     "CampaignResult",
-    "CombinationalCampaign",
-    "SequentialCampaign",
-    "run_combinational",
-    "run_sequential",
     "BatchEngine",
     "CompiledEngine",
     "DifferentialEngine",

@@ -27,7 +27,7 @@ cross-checked by the equivalence test-suite.  ``Detection.lanes`` is a
 *partial witness* (at least one detecting lane), not an exhaustive lane
 set: engines that short-circuit or drop faults may report fewer lanes.
 
-Structural collapsing (``grade(collapse=...)``) adds one caveat: a
+Structural collapsing (``GradeOptions(collapse=...)``) adds one caveat: a
 dominator verdict inferred from a detected child reuses the child's
 detecting cycle, which is an *upper bound* on the dominator's own first
 detecting cycle (the dominator machine provably differs at that cycle,
@@ -41,7 +41,6 @@ minimum.  Detected flags, coverage and excitation stay exact either way
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING, Protocol
 
@@ -50,7 +49,7 @@ from repro.faultsim.differential import Detection, DifferentialFaultSimulator
 from repro.faultsim.faults import Fault, FaultKind, FaultList, build_fault_list
 from repro.faultsim.harness import CampaignResult
 from repro.faultsim.lowering import cached_compile_comb, cached_compile_seq
-from repro.faultsim.observe import ObservePlan, ObserveSpec
+from repro.faultsim.observe import ObservePlan
 from repro.faultsim.options import (
     GradeOptions,
     resolve_prune_mode,
@@ -83,6 +82,7 @@ __all__ = [
     "prune_sets",
     "register_engine",
     "resolve_prune_mode",
+    "select_engine",
 ]
 
 Stimulus = Sequence[Mapping[str, int]]
@@ -786,7 +786,7 @@ def _grade_collapsed(
     ``supers`` restricts grading to the listed super-class keys (a shard
     of ``cmap.simulation_order()``); ``restrict`` additionally limits
     *expanded* verdicts to the listed class representatives (the
-    ``grade(subset=...)`` contract).
+    ``GradeOptions(subset=...)`` contract).
     """
     ordered = list(supers) if supers is not None else cmap.simulation_order()
     unit_of: dict[int, int] = {}
@@ -871,36 +871,21 @@ def _grade_collapsed(
 # ------------------------------------------------------------------- facade
 
 
-_DEPRECATION_MESSAGE = (
-    "passing grading options as individual keyword arguments to grade() "
-    "is deprecated; build a GradeOptions and call "
-    "grade(netlist, stimulus, faults, options) (docs/API.md §6 maps "
-    "each keyword to its GradeOptions field)"
-)
+def select_engine(netlist: Netlist, options: GradeOptions) -> FaultSimEngine:
+    """The configured engine ``options.engine`` names for ``netlist``.
 
-
-def _fold_legacy_kwargs(
-    options: GradeOptions | None,
-    legacy: dict[str, object],
-) -> GradeOptions:
-    """One options object from either calling convention.
-
-    ``legacy`` holds only the keywords whose value differs from its
-    default — a non-empty dict means the caller used the deprecated
-    per-keyword surface.
+    ``"auto"`` resolves through :func:`default_engine_name`; engines with
+    per-grade settings (the packed engine's lane width) are configured
+    from ``options``.
     """
-    if options is not None:
-        if legacy:
-            raise FaultSimError(
-                "pass GradeOptions or legacy keyword arguments, not both "
-                f"(got options plus {sorted(legacy)})"
-            )
-        return options
-    if legacy:
-        warnings.warn(
-            _DEPRECATION_MESSAGE, DeprecationWarning, stacklevel=3
-        )
-    return GradeOptions(**legacy)  # type: ignore[arg-type]
+    spec = options.engine
+    if spec == "auto":
+        spec = default_engine_name(netlist)
+    selected = get_engine(spec)
+    configure = getattr(selected, "configure", None)
+    if configure is not None:
+        configure(options)
+    return selected
 
 
 def grade(
@@ -908,16 +893,6 @@ def grade(
     stimulus: Stimulus,
     faults: FaultList | None = None,
     options: GradeOptions | None = None,
-    *,
-    engine: str = "auto",
-    observe: ObserveSpec = None,
-    runtime: object | None = None,
-    name: str = "",
-    prune_untestable: bool | str = False,
-    subset: Sequence[int] | None = None,
-    collapse: bool | CollapseMap = False,
-    cache: object | None = None,
-    lanes: int | None = None,
 ) -> CampaignResult:
     """Grade a fault universe against a stimulus — the one entry point.
 
@@ -926,10 +901,7 @@ def grade(
         grade(netlist, stimulus, faults, GradeOptions(engine="packed"))
 
     Every grading knob lives on :class:`GradeOptions` (see its field
-    docs); the per-keyword surface after ``options`` is deprecated — it
-    still works for one release, emits :class:`DeprecationWarning`, and
-    is folded into an options object internally.  Mixing both
-    conventions raises.
+    docs).
 
     Args:
         netlist: the circuit.  DFF-free netlists take ``stimulus`` as an
@@ -939,7 +911,7 @@ def grade(
         faults: the fault universe (default: build and collapse it).
         options: the validated grading options (engine selection,
             observability, pruning, subsetting, collapsing, persistent
-            caching, packed-lane width).
+            caching, packed-lane width); ``None`` means the defaults.
 
     Returns:
         The campaign result; verdicts are engine-invariant.  When
@@ -948,26 +920,7 @@ def grade(
         fingerprint, the result is replayed from disk with
         ``cache_hit=True`` and zero simulated classes.
     """
-    legacy: dict[str, object] = {}
-    if engine != "auto":
-        legacy["engine"] = engine
-    if observe is not None:
-        legacy["observe"] = observe
-    if runtime is not None:
-        legacy["runtime"] = runtime
-    if name:
-        legacy["name"] = name
-    if prune_untestable is not False:
-        legacy["prune_untestable"] = prune_untestable
-    if subset is not None:
-        legacy["subset"] = subset
-    if collapse is not False:
-        legacy["collapse"] = collapse
-    if cache is not None:
-        legacy["cache"] = cache
-    if lanes is not None:
-        legacy["lanes"] = lanes
-    opts = _fold_legacy_kwargs(options, legacy)
+    opts = options if options is not None else GradeOptions()
     if opts.reach is True:
         raise FaultSimError(
             "grade() has no program to analyze; reach=True is a "
@@ -1000,13 +953,7 @@ def grade(
             cmap = compute_collapse(netlist, fault_list)
     plan = ObservePlan.from_spec(opts.observe, len(stimulus), netlist)
     label = opts.name or netlist.name
-    spec = opts.effective_engine()
-    if spec == "auto":
-        spec = default_engine_name(netlist)
-    selected = get_engine(spec)
-    configure = getattr(selected, "configure", None)
-    if configure is not None:
-        configure(opts)
+    selected = select_engine(netlist, opts)
     mode = opts.prune_mode
 
     # Persistent store: activate it for good-trace sharing either way,

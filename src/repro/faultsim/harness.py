@@ -1,25 +1,21 @@
-"""Component-level fault-grading campaigns.
+"""The result type of component-level fault grading.
 
 A campaign takes a component netlist plus the stimulus that reaches it
 during self-test execution (either an unordered pattern set for a
 combinational component, or the exact traced cycle sequence for a sequential
 one) and grades every collapsed fault class, honouring observability
 restrictions.  Grading itself runs through the engine facade
-(:func:`repro.faultsim.engine.grade`); the campaign dataclasses here are
-the stable component-level API and carry the result type.
+(:func:`repro.faultsim.engine.grade`); this module holds the
+:class:`CampaignResult` every engine and campaign layer returns.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
 
-from repro.errors import FaultSimError
 from repro.faultsim.coverage import ComponentCoverage
 from repro.faultsim.differential import Detection
 from repro.faultsim.faults import Fault, FaultList
-from repro.netlist.netlist import Netlist
 
 
 @dataclass
@@ -41,7 +37,7 @@ class CampaignResult:
             denominator.  Always a subset of ``pruned``; empty unless
             grading ran with ``prune_untestable="proven"``.
         n_simulated: fault classes the engine actually simulated.  With
-            structural collapsing (``grade(collapse=...)``) this is the
+            structural collapsing (``GradeOptions(collapse=...)``) this is the
             super-class sim-unit count; without it, the graded class
             count.  Coverage never depends on it — it is the workload
             accounting the collapse benchmark reports.
@@ -164,154 +160,3 @@ class CampaignResult:
             degraded=degraded,
             n_proven=self.n_proven,
         )
-
-
-@dataclass
-class CombinationalCampaign:
-    """Grade a combinational component with an unordered pattern set.
-
-    Prefer :func:`repro.faultsim.grade` for new code — it dispatches on
-    the netlist and stimulus shape and exposes engine selection, pruning
-    and fault subsetting through one signature (``docs/API.md`` §6 maps
-    the old surface onto it).
-
-    Attributes:
-        netlist: component circuit (must be DFF-free).
-        patterns: per pattern, ``{input port: value}``.
-        observe: per pattern, set/iterable of observed output port names;
-            None observes every output for every pattern.
-        engine: fault-sim engine name (see
-            :func:`repro.faultsim.engine.engine_names`) or ``"auto"``.
-            Defaults to the historical differential engine so existing
-            callers keep byte-identical Detection records.
-    """
-
-    netlist: Netlist
-    patterns: Sequence[Mapping[str, int]]
-    observe: Sequence[Sequence[str]] | None = None
-    name: str = ""
-    engine: str = "differential"
-
-    def run(
-        self,
-        fault_list: FaultList | None = None,
-        prune_untestable: bool = False,
-    ) -> CampaignResult:
-        # Local import: the engine module imports CampaignResult from here.
-        from repro.faultsim.engine import grade
-        from repro.faultsim.options import GradeOptions
-
-        if self.netlist.dffs:
-            raise FaultSimError(
-                f"{self.netlist.name!r} has flip-flops; use SequentialCampaign"
-            )
-        if not self.patterns:
-            raise FaultSimError("no patterns to apply")
-        if (
-            self.observe is not None
-            and len(self.observe) != len(self.patterns)
-        ):
-            raise FaultSimError("observe list must match pattern count")
-        options = GradeOptions(
-            engine=self.engine,
-            observe=self.observe,
-            name=self.name or self.netlist.name,
-            prune_untestable=prune_untestable,
-        )
-        return grade(self.netlist, self.patterns, fault_list, options)
-
-
-@dataclass
-class SequentialCampaign:
-    """Grade a sequential component with a traced cycle sequence.
-
-    Prefer :func:`repro.faultsim.grade` for new code — it dispatches on
-    the netlist and stimulus shape and exposes engine selection, pruning
-    and fault subsetting through one signature (``docs/API.md`` §6 maps
-    the old surface onto it).
-
-    Attributes:
-        netlist: component circuit.
-        cycle_inputs: per cycle, ``{input port: value}`` — typically the
-            boundary trace captured while the CPU executed the self-test
-            program.
-        observe: per cycle, iterable of observed output port names (None =
-            all outputs every cycle).
-        engine: fault-sim engine name (see
-            :func:`repro.faultsim.engine.engine_names`) or ``"auto"``.
-            Defaults to the historical differential engine so existing
-            callers keep byte-identical Detection records.
-    """
-
-    netlist: Netlist
-    cycle_inputs: Sequence[Mapping[str, int]]
-    observe: Sequence[Sequence[str]] | None = None
-    name: str = ""
-    engine: str = "differential"
-
-    def run(
-        self,
-        fault_list: FaultList | None = None,
-        prune_untestable: bool = False,
-    ) -> CampaignResult:
-        from repro.faultsim.engine import grade
-        from repro.faultsim.options import GradeOptions
-
-        if not self.cycle_inputs:
-            raise FaultSimError("no cycles to apply")
-        if (
-            self.observe is not None
-            and len(self.observe) != len(self.cycle_inputs)
-        ):
-            raise FaultSimError("observe list must match cycle count")
-        options = GradeOptions(
-            engine=self.engine,
-            observe=self.observe,
-            name=self.name or self.netlist.name,
-            prune_untestable=prune_untestable,
-        )
-        return grade(self.netlist, self.cycle_inputs, fault_list, options)
-
-
-def run_combinational(
-    netlist: Netlist,
-    patterns: Sequence[Mapping[str, int]],
-    observe: Sequence[Sequence[str]] | None = None,
-    name: str = "",
-) -> CampaignResult:
-    """Deprecated: call :func:`repro.faultsim.grade` instead.
-
-    Migration: ``run_combinational(netlist, patterns, observe, name)``
-    becomes ``grade(netlist, patterns, observe=observe, name=name)`` —
-    ``grade()`` infers combinational stimulus from the absence of DFFs
-    and returns the same :class:`CampaignResult`.  See the migration
-    table in ``docs/API.md`` §6.
-    """
-    warnings.warn(
-        "run_combinational() is deprecated; use repro.faultsim.grade()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return CombinationalCampaign(netlist, patterns, observe, name).run()
-
-
-def run_sequential(
-    netlist: Netlist,
-    cycle_inputs: Sequence[Mapping[str, int]],
-    observe: Sequence[Sequence[str]] | None = None,
-    name: str = "",
-) -> CampaignResult:
-    """Deprecated: call :func:`repro.faultsim.grade` instead.
-
-    Migration: ``run_sequential(netlist, cycles, observe, name)`` becomes
-    ``grade(netlist, cycles, observe=observe, name=name)`` — ``grade()``
-    treats the stimulus as a cycle sequence whenever the netlist holds
-    state, and returns the same :class:`CampaignResult`.  See the
-    migration table in ``docs/API.md`` §6.
-    """
-    warnings.warn(
-        "run_sequential() is deprecated; use repro.faultsim.grade()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return SequentialCampaign(netlist, cycle_inputs, observe, name).run()

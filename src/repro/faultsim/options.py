@@ -1,11 +1,8 @@
 """One validated options object for every grading entry point.
 
-:func:`repro.faultsim.grade` historically grew one keyword per feature —
-``engine``, ``observe``, ``runtime``, ``prune_untestable``, ``subset``,
-``collapse`` — and every campaign layer (component jobs, the sharded
-scheduler, the CLI) re-declared the same parameters and threaded them
-down individually.  :class:`GradeOptions` collapses that surface into a
-single frozen dataclass:
+:func:`repro.faultsim.grade` takes every grading choice through one
+frozen dataclass, :class:`GradeOptions`, and so does every campaign
+layer (component jobs, the sharded scheduler, the CLI, the service):
 
 * **validated construction** — engine names, prune modes, lane counts
   and subsets are checked once, in ``__post_init__``, instead of deep
@@ -18,10 +15,9 @@ single frozen dataclass:
 * **a checkpoint fingerprint** — :meth:`fingerprint` digests exactly the
   verdict-shaping knobs, so journal reuse rules live in one place.
 
-Legacy keyword arguments on :func:`~repro.faultsim.grade` still work for
-one release but emit :class:`DeprecationWarning` and are folded into a
-``GradeOptions`` internally (``docs/API.md`` §6 maps each keyword to its
-field).
+Where and how resiliently grading runs (worker count, isolation,
+timeouts, checkpoints) is not a grading option: it lives on
+:class:`repro.runtime.RuntimeConfig`.
 """
 
 from __future__ import annotations
@@ -111,8 +107,6 @@ class GradeOptions:
         lanes: lane-group count for the ``packed`` engine (good machine
             in group 0, up to ``lanes - 1`` fault classes per word).
             Other engines ignore it.
-        runtime: optional :class:`~repro.runtime.RuntimeConfig`; its
-            ``engine`` field is honoured while ``engine`` is ``"auto"``.
     """
 
     engine: str = "auto"
@@ -124,7 +118,6 @@ class GradeOptions:
     reach: "bool | ReachReport" = False
     cache: TraceStore | str | Path | None = None
     lanes: int = DEFAULT_LANES
-    runtime: object | None = None
 
     def __post_init__(self) -> None:
         # Local import: the engine registry imports this module at load
@@ -181,21 +174,6 @@ class GradeOptions:
     def reach_requested(self) -> bool:
         """True when grading should apply the unexercised-fault screen."""
         return self.reach is not False
-
-    def effective_engine(self) -> str:
-        """The engine spec after folding in ``runtime.engine``.
-
-        Still ``"auto"`` when neither field names an engine — the final
-        per-netlist resolution happens in
-        :func:`repro.faultsim.engine.default_engine_name`.
-        """
-        if self.engine != "auto":
-            return self.engine
-        if self.runtime is not None:
-            spec = getattr(self.runtime, "engine", "auto")
-            if isinstance(spec, str) and spec:
-                return spec
-        return "auto"
 
     def replace(self, **changes: Any) -> "GradeOptions":
         """A copy with ``changes`` applied (re-validated)."""

@@ -22,8 +22,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from repro.errors import FaultSimError
-from repro.faultsim.faults import Fault, FaultKind, FaultList, build_fault_list
-from repro.faultsim.harness import CampaignResult
+from repro.faultsim.faults import Fault, FaultKind
 from repro.faultsim.differential import Detection
 from repro.netlist.gates import GateType
 from repro.netlist.levelize import levelize
@@ -187,52 +186,6 @@ class ParallelFaultSimulator:
         return [
             d if d is not None else Detection(False) for d in detections
         ]
-
-    # ---------------------------------------------------------- campaign
-
-    def run_campaign(
-        self,
-        cycle_inputs: Sequence[Mapping[str, int]],
-        observe: Sequence[Sequence[str]] | None = None,
-        fault_list: FaultList | None = None,
-        name: str = "",
-    ) -> CampaignResult:
-        """Deprecated: call :func:`repro.faultsim.grade` with
-        ``engine="batch"`` instead.
-
-        Mirrors :class:`~repro.faultsim.harness.SequentialCampaign` but with
-        the batch engine.
-        """
-        import warnings
-
-        warnings.warn(
-            "ParallelFaultSimulator.run_campaign() is deprecated; use "
-            'repro.faultsim.grade(..., engine="batch")',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not cycle_inputs:
-            raise FaultSimError("no cycles to apply")
-        if observe is not None and len(observe) != len(cycle_inputs):
-            raise FaultSimError("observe list must match cycle count")
-        if fault_list is None:
-            fault_list = build_fault_list(self.netlist)
-        result = CampaignResult(
-            name or self.netlist.name, fault_list,
-            n_patterns=len(cycle_inputs),
-        )
-        reps = fault_list.class_representatives()
-        for start in range(0, len(reps), self.batch_size):
-            chunk = reps[start : start + self.batch_size]
-            faults = [fault_list.fault(r) for r in chunk]
-            for rep, detection in zip(
-                chunk, self.run_batch(faults, cycle_inputs, observe),
-                strict=True,
-            ):
-                result.detections[rep] = detection
-                if detection.detected:
-                    result.detected.add(rep)
-        return result
 
 
 def _eval_direct(

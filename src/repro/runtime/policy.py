@@ -61,10 +61,6 @@ class RuntimeConfig:
         isolate: run each job in its own worker process.
         sleep: injectable sleep function (tests replace it to avoid
             real backoff waits).
-        engine: fault-sim engine used by campaign jobs — ``"auto"`` or a
-            name registered with :mod:`repro.faultsim.engine`.  Validated
-            lazily by the facade so this module stays independent of the
-            fault simulator.
         jobs: worker-process count for the sharded parallel scheduler.
             ``1`` (the default) keeps the historical behaviour: grading
             jobs run one component at a time.  ``jobs > 1`` shards each
@@ -96,7 +92,6 @@ class RuntimeConfig:
     resume: bool = False
     isolate: bool = True
     sleep: Callable[[float], None] = time.sleep
-    engine: str = "auto"
     jobs: int = 1
     cancel: Callable[[], bool] | None = None
     events: EventLog | None = None
@@ -108,10 +103,10 @@ class RuntimeConfig:
     def __getstate__(self) -> dict:
         """Pickle without the parent-side hooks.
 
-        Worker processes receive the config inside ``GradeOptions`` /
-        shard contexts; cancellation and event observation are driven by
-        the parent, so closures and live logs must not (and often could
-        not) cross the process boundary.
+        Cancellation and event observation are driven by the parent, so
+        if a config is ever shipped to a worker process, closures and
+        live logs must not (and often could not) cross the process
+        boundary.
         """
         state = self.__dict__.copy()
         state["cancel"] = None
@@ -121,8 +116,6 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ReproRuntimeError("timeout_seconds must be positive")
-        if not self.engine or not isinstance(self.engine, str):
-            raise ReproRuntimeError("engine must be a non-empty string")
         if self.resume and self.checkpoint_dir is None:
             raise ReproRuntimeError("resume requires a checkpoint_dir")
         if self.timeout_seconds is not None and not self.isolate:

@@ -188,18 +188,17 @@ class ShardScheduler:
     event-log plumbing (journal loading honours ``resume``, records are
     fingerprint-guarded, malformed entries surface as
     :class:`~repro.errors.CheckpointCorrupt`); execution itself is pooled
-    rather than one-process-per-job.
+    rather than one-process-per-job, over at most ``config.jobs``
+    workers.
     """
 
     def __init__(
         self,
         config: RuntimeConfig | None = None,
-        jobs: int | None = None,
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
     ):
         self.config = config or RuntimeConfig()
-        self.jobs = jobs if jobs is not None else max(1, self.config.jobs)
         self.initializer = initializer
         self.initargs = initargs
         self.runner = JobRunner(self.config)
@@ -254,7 +253,7 @@ class ShardScheduler:
             return outcomes
 
         pool = WorkerPool(
-            max(1, min(self.jobs, len(pending))),
+            min(self.config.jobs, len(pending)),
             self.initializer, self.initargs,
         )
         pool.start()

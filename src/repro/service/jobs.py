@@ -427,7 +427,6 @@ class CampaignService:
                 if request.components is not None else None
             ),
             runtime=runtime,
-            jobs=request.jobs,
             options=options,
         )
 

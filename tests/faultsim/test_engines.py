@@ -9,7 +9,6 @@ deliberately tiny batch sizes and aggressive repack settings.
 """
 
 import random
-import warnings
 
 import pytest
 
@@ -23,17 +22,15 @@ from repro.faultsim.engine import (
     default_engine_name,
     engine_names,
     get_engine,
+    select_engine,
 )
-from repro.faultsim.harness import run_combinational, run_sequential
 from repro.faultsim.lowering import clear_program_cache
 from repro.faultsim.observe import ObservePlan
-from repro.faultsim.parallel import ParallelFaultSimulator
 from repro.faultsim.trace_cache import global_trace_cache
 from repro.library import build_register_file
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.levelize import depth
 from repro.plasma.components import COMPONENTS, build_component
-from repro.runtime import RuntimeConfig
 
 ENGINES = ("differential", "batch", "compiled", "packed")
 
@@ -236,18 +233,22 @@ class TestFacade:
         assert default_engine_name(build_component("ALU")) == "compiled"
         assert depth(build_component("ALU")) >= AUTO_MIN_DEPTH
 
-    def test_runtime_engine_honoured_only_under_auto(self):
-        netlist = adder4()
-        patterns = [dict(a=1, x=2, cin=0)]
-        bogus = RuntimeConfig(engine="flextest")
-        with pytest.raises(FaultSimError, match="unknown engine"):
-            grade(netlist, patterns,
-                  options=GradeOptions(engine="auto", runtime=bogus))
-        # An explicit engine choice wins over the runtime config.
-        result = grade(netlist, patterns,
-                       options=GradeOptions(engine="differential",
-                                            runtime=bogus))
-        assert result.n_faults > 0
+    def test_select_engine_resolves_auto_per_netlist(self):
+        for name in ("BMUX", "ALU", "RegF"):
+            netlist = build_component(name)
+            selected = select_engine(netlist, GradeOptions())
+            assert selected.name == default_engine_name(netlist)
+        explicit = select_engine(
+            build_component("ALU"), GradeOptions(engine="differential")
+        )
+        assert explicit.name == "differential"
+
+    def test_select_engine_configures_lanes(self):
+        selected = select_engine(
+            adder4(), GradeOptions(engine="packed", lanes=8)
+        )
+        assert selected.name == "packed"
+        assert selected.lanes == 8
 
     def test_empty_stimulus_messages(self):
         with pytest.raises(FaultSimError, match="no patterns to apply"):
@@ -255,30 +256,15 @@ class TestFacade:
         with pytest.raises(FaultSimError, match="no cycles to apply"):
             grade(build_register_file(n_registers=4, width=4), [])
 
-    def test_facade_matches_legacy_harness(self):
+    def test_facade_matches_engine_protocol(self):
         netlist = adder4()
         patterns = [dict(a=a, x=15 - a, cin=a & 1) for a in range(16)]
         via_facade = grade(netlist, patterns,
                            options=GradeOptions(engine="differential"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_combinational(netlist, patterns)
-        assert via_facade.detected == legacy.detected
-        assert via_facade.fault_coverage == legacy.fault_coverage
-
-
-class TestDeprecatedEntryPoints:
-    def test_run_combinational_warns(self):
-        with pytest.warns(DeprecationWarning, match="grade"):
-            run_combinational(adder4(), [dict(a=0, x=0, cin=0)])
-
-    def test_run_sequential_warns(self):
-        netlist = build_register_file(n_registers=4, width=4)
-        with pytest.warns(DeprecationWarning, match="grade"):
-            run_sequential(netlist, regfile_cycles(n=5))
-
-    def test_parallel_run_campaign_warns(self):
-        netlist = build_register_file(n_registers=4, width=4)
-        sim = ParallelFaultSimulator(netlist, batch_size=16)
-        with pytest.warns(DeprecationWarning, match="grade"):
-            sim.run_campaign(regfile_cycles(n=5))
+        fault_list = build_fault_list(netlist)
+        direct = get_engine("differential").grade(
+            netlist, patterns, fault_list,
+            ObservePlan.from_spec(None, len(patterns), netlist),
+        )
+        assert via_facade.detected == direct.detected
+        assert via_facade.fault_coverage == direct.fault_coverage

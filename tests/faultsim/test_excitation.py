@@ -1,8 +1,15 @@
 """Unit tests for the never-excited / excited-unobserved fault breakdown."""
 
-from repro.faultsim.harness import run_combinational
+from repro.faultsim import GradeOptions, grade
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.gates import GateType
+
+
+def _grade(netlist, patterns, observe=None):
+    """Grade on the differential reference engine."""
+    return grade(netlist, patterns, options=GradeOptions(
+        engine="differential", observe=observe,
+    ))
 
 
 def two_path_circuit():
@@ -17,7 +24,7 @@ def two_path_circuit():
 class TestExcitationBreakdown:
     def test_partition_sums_to_undetected(self):
         netlist = two_path_circuit()
-        result = run_combinational(netlist, [dict(x=0b01)])
+        result = _grade(netlist, [dict(x=0b01)])
         undetected = result.n_faults - result.n_detected
         assert result.n_never_excited + result.n_excited_unobserved == undetected
 
@@ -25,7 +32,7 @@ class TestExcitationBreakdown:
         # With x held at 0b00, any s-a-0 whose good value is always 0 is
         # never excited.
         netlist = two_path_circuit()
-        result = run_combinational(netlist, [dict(x=0)])
+        result = _grade(netlist, [dict(x=0)])
         assert result.n_never_excited > 0
 
     def test_unobserved_output_creates_excited_unobserved(self):
@@ -34,20 +41,20 @@ class TestExcitationBreakdown:
         # Observe only y1: faults on the OR path are excited (exhaustive
         # stimulus) but never observed.
         observe = [("y1",)] * len(patterns)
-        result = run_combinational(netlist, patterns, observe)
+        result = _grade(netlist, patterns, observe)
         assert result.n_excited_unobserved > 0
         assert result.n_never_excited == 0  # exhaustive stimulus
 
     def test_exhaustive_fully_observed_has_no_residue(self):
         netlist = two_path_circuit()
         patterns = [dict(x=v) for v in range(4)]
-        result = run_combinational(netlist, patterns)
+        result = _grade(netlist, patterns)
         assert result.fault_coverage == 100.0
         assert result.n_never_excited == 0
         assert result.n_excited_unobserved == 0
 
     def test_report_line(self):
         netlist = two_path_circuit()
-        result = run_combinational(netlist, [dict(x=0)])
+        result = _grade(netlist, [dict(x=0)])
         text = result.excitation_report()
         assert "never excited" in text and "FC" in text

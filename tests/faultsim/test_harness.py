@@ -1,15 +1,17 @@
-"""Unit tests for the component campaign harness."""
+"""Unit tests for component grading through the grade() facade."""
 
 import pytest
 
 from repro.errors import FaultSimError
-from repro.faultsim.harness import (
-    CombinationalCampaign,
-    SequentialCampaign,
-    run_combinational,
-    run_sequential,
-)
+from repro.faultsim import GradeOptions, grade
 from repro.netlist.builder import NetlistBuilder
+
+
+def _grade(netlist, stimulus, observe=None, name=""):
+    """Grade on the differential reference engine."""
+    return grade(netlist, stimulus, options=GradeOptions(
+        engine="differential", observe=observe, name=name,
+    ))
 
 
 def adder4():
@@ -32,12 +34,12 @@ def exhaustive_patterns():
 
 class TestCombinational:
     def test_exhaustive_reaches_full_coverage(self):
-        result = run_combinational(adder4(), exhaustive_patterns())
+        result = _grade(adder4(), exhaustive_patterns())
         assert result.fault_coverage == 100.0
         assert result.undetected_faults() == []
 
     def test_single_pattern_partial_coverage(self):
-        result = run_combinational(adder4(), [dict(a=0, x=0, cin=0)])
+        result = _grade(adder4(), [dict(a=0, x=0, cin=0)])
         assert 0 < result.fault_coverage < 100.0
 
     def test_constant_tied_logic_reported_untestable(self):
@@ -52,7 +54,7 @@ class TestCombinational:
         dead = b.netlist.add_gate(GateType.AND, [a[0], CONST0])
         b.output("y", b.gate(GateType.OR, a[0], dead))
         patterns = [dict(a=v) for v in (0, 1)]
-        result = run_combinational(b.build(), patterns)
+        result = _grade(b.build(), patterns)
         assert result.fault_coverage < 100.0
         undetected = result.undetected_faults()
         nl = result.fault_list.netlist
@@ -60,32 +62,25 @@ class TestCombinational:
 
     def test_unobserved_patterns_detect_nothing(self):
         observe = [() for _ in exhaustive_patterns()]
-        result = run_combinational(adder4(), exhaustive_patterns(), observe)
+        result = _grade(adder4(), exhaustive_patterns(), observe)
         assert result.n_detected == 0
 
     def test_partial_observation(self):
         # Observing only cout: sum-only faults survive.
         observe = [("cout",) for _ in exhaustive_patterns()]
-        result = run_combinational(adder4(), exhaustive_patterns(), observe)
+        result = _grade(adder4(), exhaustive_patterns(), observe)
         assert 0 < result.fault_coverage < 100.0
 
     def test_empty_patterns_rejected(self):
         with pytest.raises(FaultSimError):
-            run_combinational(adder4(), [])
+            _grade(adder4(), [])
 
     def test_observe_length_mismatch(self):
         with pytest.raises(FaultSimError):
-            CombinationalCampaign(adder4(), [dict(a=0, x=0)], [(), ()]).run()
-
-    def test_sequential_netlist_rejected(self):
-        b = NetlistBuilder("seq")
-        x = b.input("x", 1)
-        b.output("q", b.dff(x[0]))
-        with pytest.raises(FaultSimError):
-            run_combinational(b.build(), [dict(x=0)])
+            _grade(adder4(), [dict(a=0, x=0)], [(), ()])
 
     def test_result_accounting(self):
-        result = run_combinational(adder4(), exhaustive_patterns(), name="A4")
+        result = _grade(adder4(), exhaustive_patterns(), name="A4")
         assert result.name == "A4"
         assert result.n_patterns == 512
         assert result.n_faults == result.fault_list.n_collapsed
@@ -117,25 +112,25 @@ class TestSequential:
         for reg in range(1, 4):
             cycles.append(dict(wr_addr=0, wr_data=0, wr_en=0,
                                rd_addr_a=reg, rd_addr_b=3 - reg))
-        result = run_sequential(self._regfile(), cycles)
+        result = _grade(self._regfile(), cycles)
         assert result.fault_coverage > 85.0
 
     def test_no_observation_no_detection(self):
         cycles = [dict(wr_addr=1, wr_data=0xF, wr_en=1,
                        rd_addr_a=1, rd_addr_b=1)] * 4
         observe = [() for _ in cycles]
-        result = run_sequential(self._regfile(), cycles, observe)
+        result = _grade(self._regfile(), cycles, observe)
         assert result.n_detected == 0
 
     def test_empty_cycles_rejected(self):
         with pytest.raises(FaultSimError):
-            run_sequential(self._regfile(), [])
+            _grade(self._regfile(), [])
 
     def test_observe_length_mismatch(self):
         with pytest.raises(FaultSimError):
-            SequentialCampaign(
+            _grade(
                 self._regfile(),
                 [dict(wr_addr=0, wr_data=0, wr_en=0,
                       rd_addr_a=0, rd_addr_b=0)],
                 [(), ()],
-            ).run()
+            )

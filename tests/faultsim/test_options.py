@@ -1,10 +1,8 @@
-"""GradeOptions: validation, folding, fingerprints and deprecation.
+"""GradeOptions: validation, fingerprints and the one grading convention.
 
 The API-consolidation contract: every grading entry point builds exactly
-one validated :class:`~repro.faultsim.options.GradeOptions`, the legacy
-per-keyword surface on :func:`~repro.faultsim.grade` still works for one
-release but warns, and mixing the two conventions is an error rather
-than a silent precedence rule.
+one validated :class:`~repro.faultsim.options.GradeOptions` and passes
+it to :func:`~repro.faultsim.grade` as its only configuration.
 """
 
 import pytest
@@ -18,7 +16,6 @@ from repro.faultsim import (
 )
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.gates import GateType
-from repro.runtime import RuntimeConfig
 
 
 def tiny_netlist():
@@ -70,20 +67,6 @@ class TestValidation:
             opts.replace(engine="flextest")
 
 
-class TestEffectiveEngine:
-    def test_explicit_engine_wins_over_runtime(self):
-        runtime = RuntimeConfig(engine="batch")
-        opts = GradeOptions(engine="compiled", runtime=runtime)
-        assert opts.effective_engine() == "compiled"
-
-    def test_runtime_engine_fills_auto(self):
-        runtime = RuntimeConfig(engine="batch")
-        assert GradeOptions(runtime=runtime).effective_engine() == "batch"
-
-    def test_auto_stays_auto_without_runtime(self):
-        assert GradeOptions().effective_engine() == "auto"
-
-
 class TestFingerprint:
     def test_verdict_invariant_knobs_do_not_change_it(self, tmp_path):
         base = GradeOptions().fingerprint()
@@ -104,11 +87,6 @@ class TestFingerprint:
 
 
 class TestGradeConventions:
-    def test_legacy_keywords_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="GradeOptions"):
-            result = grade(tiny_netlist(), PATTERNS, engine="differential")
-        assert result.n_faults > 0
-
     def test_options_object_does_not_warn(self, recwarn):
         result = grade(
             tiny_netlist(), PATTERNS,
@@ -119,18 +97,10 @@ class TestGradeConventions:
             w for w in recwarn if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_mixing_conventions_raises(self):
-        with pytest.raises(FaultSimError, match="not both"):
-            grade(
-                tiny_netlist(), PATTERNS,
-                options=GradeOptions(), engine="differential",
-            )
-
-    def test_legacy_and_options_grades_agree(self):
+    def test_omitted_and_default_options_grades_agree(self):
         netlist = tiny_netlist()
-        with pytest.warns(DeprecationWarning):
-            legacy = grade(netlist, PATTERNS, engine="batch")
-        modern = grade(netlist, PATTERNS,
-                       options=GradeOptions(engine="batch"))
-        assert legacy.detected == modern.detected
-        assert legacy.fault_coverage == modern.fault_coverage
+        omitted = grade(netlist, PATTERNS)
+        default = grade(netlist, PATTERNS, options=GradeOptions())
+        assert omitted.detected == default.detected
+        assert omitted.fault_coverage == default.fault_coverage
+        assert omitted.detections == default.detections

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from repro.errors import FaultSimError
+from repro.faultsim import GradeOptions, ObservePlan, grade
+from repro.faultsim.engine import BatchEngine
 from repro.faultsim.faults import build_fault_list
-from repro.faultsim.harness import run_sequential
 from repro.faultsim.parallel import ParallelFaultSimulator
 from repro.library import build_alu, build_register_file
 from repro.library.alu import AluOp
@@ -14,9 +15,15 @@ from repro.netlist.builder import NetlistBuilder
 
 
 def cross_check(netlist, cycles, observe=None, batch_size=64):
-    differential = run_sequential(netlist, cycles, observe)
-    parallel = ParallelFaultSimulator(netlist, batch_size=batch_size)
-    batched = parallel.run_campaign(cycles, observe)
+    differential = grade(netlist, cycles, options=GradeOptions(
+        engine="differential", observe=observe,
+    ))
+    # The batch engine at an explicit batch size: faults ride the lanes
+    # of ParallelFaultSimulator.run_batch, batch_size classes per pass.
+    batched = BatchEngine(batch_size=batch_size).grade(
+        netlist, cycles, differential.fault_list,
+        ObservePlan.from_spec(observe, len(cycles), netlist),
+    )
     assert batched.detected == differential.detected, (
         len(batched.detected), len(differential.detected)
     )
@@ -91,14 +98,14 @@ class TestBatchMechanics:
     def test_empty_cycles_rejected(self):
         netlist = build_alu(width=4)
         with pytest.raises(FaultSimError):
-            ParallelFaultSimulator(netlist).run_campaign([])
+            grade(netlist, [], options=GradeOptions(engine="batch"))
 
     def test_observe_length_checked(self):
         netlist = build_alu(width=4)
         with pytest.raises(FaultSimError):
-            ParallelFaultSimulator(netlist).run_campaign(
-                [dict(a=0, b=0, func=0)], observe=[(), ()]
-            )
+            grade(netlist, [dict(a=0, b=0, func=0)], options=GradeOptions(
+                engine="batch", observe=[(), ()],
+            ))
 
     def test_run_batch_observe_length_checked(self):
         # The public run_batch must validate like the campaign path

@@ -26,6 +26,7 @@ from repro.errors import FaultSimError
 from repro.faultsim import GradeOptions, build_fault_list, grade
 from repro.faultsim.differential import Detection
 from repro.faultsim.engine import prune_sets
+from repro.runtime import RuntimeConfig
 
 from tests.faultsim.test_collapse_property import (
     _cycles,
@@ -297,7 +298,7 @@ class TestCampaignReach:
             "A", components=["GL"], options=GradeOptions(reach=True)
         )
         parallel = run_campaign(
-            "A", components=["GL"], jobs=2,
+            "A", components=["GL"], runtime=RuntimeConfig(jobs=2),
             options=GradeOptions(reach=True),
         )
         assert self._canonical_outcome(parallel) == \

@@ -14,6 +14,7 @@ import pytest
 
 import repro.core.sharded as sharded_mod
 from repro.core.campaign import run_campaign
+from repro.faultsim.options import GradeOptions
 from repro.reporting.tables import render_table5
 from repro.runtime import RetryPolicy, RuntimeConfig
 from repro.runtime.checkpoint import CheckpointStore
@@ -50,7 +51,7 @@ def _crash_first_bmux_shard(name, lo, hi):
 class TestParallelMatchesSerial:
     def test_bit_identical_table5(self):
         serial = run_campaign("A", components=FAST)
-        parallel = run_campaign("A", components=FAST, jobs=2)
+        parallel = run_campaign("A", components=FAST, runtime=_config())
         assert render_table5({"A": parallel}) == render_table5(
             {"A": serial}
         )
@@ -69,7 +70,7 @@ class TestParallelMatchesSerial:
         assert serial.table5() == parallel.table5()
 
     def test_shard_events_and_throughput(self):
-        outcome = run_campaign("A", components=["CTRL"], jobs=2)
+        outcome = run_campaign("A", components=["CTRL"], runtime=_config())
         successes = [e for e in outcome.events if e.kind == "success"]
         # CTRL's 1032 classes split into jobs * oversubscription shards.
         assert len(successes) == 6
@@ -86,21 +87,21 @@ class TestParallelMatchesSerial:
     def test_parallel_requires_isolation(self):
         from repro.errors import ReproRuntimeError
 
-        config = RuntimeConfig(isolate=False)
         with pytest.raises(ReproRuntimeError):
             run_campaign(
-                "A", components=["CTRL"], runtime=config, jobs=2
+                "A", components=["CTRL"],
+                runtime=RuntimeConfig(isolate=False, jobs=2),
             )
 
 
 class TestShardResume:
     def test_resume_skips_completed_shards(self, tmp_path):
         run_campaign(
-            "A", components=FAST, runtime=_config(tmp_path), jobs=2
+            "A", components=FAST, runtime=_config(tmp_path)
         )
         resumed = run_campaign(
             "A", components=FAST,
-            runtime=_config(tmp_path, resume=True), jobs=2,
+            runtime=_config(tmp_path, resume=True),
         )
         kinds = [e.kind for e in resumed.events]
         assert set(kinds) == {"cached"}
@@ -113,7 +114,7 @@ class TestShardResume:
 
     def test_resume_regrades_only_missing_shards(self, tmp_path):
         run_campaign(
-            "A", components=["CTRL"], runtime=_config(tmp_path), jobs=2
+            "A", components=["CTRL"], runtime=_config(tmp_path)
         )
         store = CheckpointStore(tmp_path)
         lines = store.path.read_text().splitlines()
@@ -128,7 +129,7 @@ class TestShardResume:
 
         resumed = run_campaign(
             "A", components=["CTRL"],
-            runtime=_config(tmp_path, resume=True), jobs=2,
+            runtime=_config(tmp_path, resume=True),
         )
         per_shard = {}
         for e in resumed.events:
@@ -146,7 +147,7 @@ class TestShardDegradation:
     def test_crashed_component_degrades_only_itself(self, monkeypatch):
         monkeypatch.setattr(sharded_mod, "grade_shard", _crash_bmux)
         outcome = run_campaign(
-            "A", components=FAST, runtime=_config(attempts=1), jobs=2
+            "A", components=FAST, runtime=_config(attempts=1)
         )
         assert outcome.degraded_components == ["BMUX"]
         assert outcome.results["BMUX"].n_detected == 0
@@ -159,7 +160,7 @@ class TestShardDegradation:
             sharded_mod, "grade_shard", _crash_first_bmux_shard
         )
         outcome = run_campaign(
-            "A", components=["BMUX"], runtime=_config(attempts=1), jobs=2
+            "A", components=["BMUX"], runtime=_config(attempts=1)
         )
         serial = run_campaign("A", components=["BMUX"])
         assert outcome.degraded_components == ["BMUX"]
@@ -177,7 +178,8 @@ class TestCollapsedShards:
     def test_parallel_collapsed_matches_serial_plain(self):
         serial = run_campaign("A", components=FAST)
         parallel = run_campaign(
-            "A", components=FAST, jobs=2, collapse=True
+            "A", components=FAST, runtime=_config(),
+            options=GradeOptions(collapse=True),
         )
         assert render_table5({"A": parallel}) == render_table5({"A": serial})
         for name in FAST:
@@ -210,11 +212,12 @@ class TestCollapsedShards:
     def test_collapsed_resume_reuses_journal(self, tmp_path):
         first = run_campaign(
             "A", components=["CTRL"], runtime=_config(tmp_path),
-            jobs=2, collapse=True,
+            options=GradeOptions(collapse=True),
         )
         resumed = run_campaign(
             "A", components=["CTRL"],
-            runtime=_config(tmp_path, resume=True), jobs=2, collapse=True,
+            runtime=_config(tmp_path, resume=True),
+            options=GradeOptions(collapse=True),
         )
         assert resumed.results["CTRL"].detected == \
             first.results["CTRL"].detected

@@ -93,7 +93,7 @@ class TestWorkerPool:
 
 class TestShardScheduler:
     def test_executes_all_tasks(self):
-        scheduler = ShardScheduler(_config(), jobs=2)
+        scheduler = ShardScheduler(_config(jobs=2))
         outcomes = scheduler.run(_tasks(_square))
         assert len(outcomes) == 6
         assert all(o.status == "ok" for o in outcomes.values())
@@ -106,13 +106,13 @@ class TestShardScheduler:
 
     def test_worker_initializer(self):
         scheduler = ShardScheduler(
-            _config(), jobs=2, initializer=_install, initargs=("hello",)
+            _config(jobs=2), initializer=_install, initargs=("hello",)
         )
         outcomes = scheduler.run(_tasks(_read_init, n=4))
         assert all(o.value == "hello" for o in outcomes.values())
 
     def test_duplicate_keys_rejected(self):
-        scheduler = ShardScheduler(_config(), jobs=2)
+        scheduler = ShardScheduler(_config(jobs=2))
         dup = [
             ShardTask(key="same", fn=_square, args=(1,)),
             ShardTask(key="same", fn=_square, args=(2,)),
@@ -122,7 +122,7 @@ class TestShardScheduler:
         assert excinfo.value.key == "same"
 
     def test_job_error_retries_then_degrades(self):
-        scheduler = ShardScheduler(_config(attempts=2), jobs=2)
+        scheduler = ShardScheduler(_config(attempts=2, jobs=2))
         outcomes = scheduler.run(_tasks(_boom, n=2))
         assert all(o.status == "failed" for o in outcomes.values())
         assert all(o.attempts == 2 for o in outcomes.values())
@@ -136,7 +136,7 @@ class TestShardScheduler:
         tasks = _tasks(_square, n=5) + [
             ShardTask(key="killer", fn=_die, args=(0,))
         ]
-        scheduler = ShardScheduler(_config(attempts=2), jobs=2)
+        scheduler = ShardScheduler(_config(attempts=2, jobs=2))
         outcomes = scheduler.run(tasks)
         assert outcomes["killer"].status == "failed"
         for i in range(5):
@@ -151,7 +151,7 @@ class TestShardScheduler:
     def test_crashed_worker_is_replaced_and_recovers(self, tmp_path):
         flag = str(tmp_path / "seen")
         tasks = [ShardTask(key="flaky", fn=_die_once, args=(flag,))]
-        scheduler = ShardScheduler(_config(attempts=3, jobs=1), jobs=1)
+        scheduler = ShardScheduler(_config(attempts=3, jobs=1))
         outcomes = scheduler.run(tasks)
         assert outcomes["flaky"].status == "ok"
         assert outcomes["flaky"].value == "recovered"
@@ -162,7 +162,7 @@ class TestShardScheduler:
             _square, n=3
         )
         scheduler = ShardScheduler(
-            _config(attempts=1, timeout=0.5), jobs=2
+            _config(attempts=1, timeout=0.5, jobs=2)
         )
         outcomes = scheduler.run(tasks)
         assert outcomes["slow"].status == "failed"
@@ -177,9 +177,9 @@ class TestShardScheduler:
             ShardTask(key=f"t{i}", fn=_square, args=(i,), fingerprint="fp")
             for i in range(4)
         ]
-        first = ShardScheduler(_config(tmp_path), jobs=2)
+        first = ShardScheduler(_config(tmp_path, jobs=2))
         first.run(tasks, serialize=lambda v: {"value": v})
-        second = ShardScheduler(_config(tmp_path, resume=True), jobs=2)
+        second = ShardScheduler(_config(tmp_path, resume=True, jobs=2))
         outcomes = second.run(tasks, serialize=lambda v: {"value": v})
         assert all(o.status == "cached" for o in outcomes.values())
         assert outcomes["t3"].record == {"value": 9}
@@ -189,14 +189,14 @@ class TestShardScheduler:
         tasks = [
             ShardTask(key="t0", fn=_square, args=(3,), fingerprint="old")
         ]
-        ShardScheduler(_config(tmp_path), jobs=1).run(
+        ShardScheduler(_config(tmp_path, jobs=1)).run(
             tasks, serialize=lambda v: {"value": v}
         )
         fresh = [
             ShardTask(key="t0", fn=_square, args=(4,), fingerprint="new")
         ]
         outcomes = ShardScheduler(
-            _config(tmp_path, resume=True), jobs=1
+            _config(tmp_path, resume=True, jobs=1)
         ).run(fresh, serialize=lambda v: {"value": v})
         assert outcomes["t0"].status == "ok"
         assert outcomes["t0"].value == 16

@@ -1,22 +1,26 @@
 """Documentation is checked, not trusted.
 
-Two gates keep the docs tree honest:
+Three gates keep the docs tree honest:
 
 * ``docs/CLI.md`` is compared against :func:`repro.cli.build_parser` —
   every subcommand, every option string and every exit code must appear
   on the page, so a new flag cannot land undocumented;
 * every relative markdown link in ``README.md`` and ``docs/`` must
-  resolve (same checker CI runs via ``tools/check_docs_links.py``).
+  resolve (same checker CI runs via ``tools/check_docs_links.py``);
+* the headline coverage figures quoted in ``DESIGN.md`` must match the
+  committed Table 5 in ``benchmarks/results/``.
 """
 
 import argparse
 import importlib.util
+import re
 from pathlib import Path
 
 from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 CLI_DOC = ROOT / "docs" / "CLI.md"
+TABLE5 = ROOT / "benchmarks" / "results" / "table5_fault_coverage.txt"
 
 #: The documented exit-code space (0 = success .. 10 = service failure).
 MAX_EXIT_CODE = 10
@@ -106,3 +110,25 @@ class TestDocsLinks:
             assert relative in index, (
                 f"docs/README.md does not link {relative}"
             )
+
+
+class TestHeadlineNumbers:
+    def test_design_overall_fc_matches_committed_table5(self):
+        # The committed Table 5's Plasma row: name | A FC | A MOFC |
+        # AB FC | AB MOFC.
+        plasma = next(
+            line for line in TABLE5.read_text().splitlines()
+            if line.split("|")[0].strip() == "Plasma"
+        )
+        cells = [cell.strip() for cell in plasma.split("|")]
+        want = {"Phase A": cells[1], "Phase A+B": cells[3]}
+        design = (ROOT / "DESIGN.md").read_text()
+        quoted = dict(re.findall(
+            r"^\| Overall stuck-at FC, (Phase A(?:\+B)?) \|[^|]*\|"
+            r"\s*\**([0-9.]+)%",
+            design, flags=re.MULTILINE,
+        ))
+        assert quoted == want, (
+            f"DESIGN.md quotes overall FC {quoted}, committed Table 5 "
+            f"says {want}"
+        )

@@ -1,14 +1,17 @@
 """Experiment E1 — fault-simulation engine cross-check and throughput.
 
-The repository ships three engines behind :func:`repro.faultsim.grade`
-with identical verdict semantics:
+The repository ships three engine implementations behind
+:func:`repro.faultsim.grade` with identical verdict semantics:
 
 * **differential** — per fault, event-driven against stored good values,
   with dropping (the historical campaign engine);
 * **batch** — a batch of faults rides bit lanes through one interpreted
   full-circuit walk per cycle;
-* **compiled** — the netlist lowered once to generated code, graded
-  against the cached good trace.
+* **compiled** — the lowered engine (registered as ``packed`` and, under
+  its historical name, ``compiled``; this bench drives the second name
+  so it stays covered end to end): the netlist lowered once to generated
+  level kernels, fault-parallel words graded against the cached good
+  trace.
 
 This bench grades the same components with the same traced stimulus and
 observability through all three, asserts fault-by-fault agreement,
@@ -22,8 +25,8 @@ Runs two ways:
 * ``PYTHONPATH=src python benchmarks/bench_engines.py [--quick]`` —
   standalone; exit code 1 on any agreement or throughput failure.
   ``--quick`` (the CI gate) samples the slow batch engine and only
-  requires the compiled engine to beat it; the full run also requires
-  the compiled engine to be >= 3x the differential engine on ALU and
+  requires the lowered engine to beat it; the full run also requires
+  the lowered engine to be >= 3x the differential engine on ALU and
   BSH at steady state (cache-warm — trace build and lowering are
   one-time costs the good-trace and program caches amortize away; the
   cache-cold time is still reported).
@@ -45,15 +48,15 @@ from repro.faultsim.trace_cache import global_trace_cache
 from repro.plasma.components import build_component
 
 #: Components the throughput gate runs on (deep combinational cones —
-#: the compiled engine's home turf and the acceptance target).
+#: the lowered engine's home turf and the acceptance target).
 GATE_COMPONENTS = ("ALU", "BSH")
 
 #: Quick mode grades the batch engine on this many sampled fault classes
-#: (it is ~50x slower than the compiled engine; CI should not pay for a
+#: (it is ~50x slower than the lowered engine; CI should not pay for a
 #: full pass).
 QUICK_BATCH_SAMPLE = 510
 
-#: Full-mode throughput floor: compiled (cache-warm) vs differential.
+#: Full-mode throughput floor: lowered engine (cache-warm) vs differential.
 FULL_SPEEDUP_FLOOR = 3.0
 
 
@@ -77,7 +80,7 @@ def _bench_component(name, patterns, observe, quick, lines, failures):
     n_faults = fault_list.n_collapsed
     cache = global_trace_cache()
 
-    # Cold start: neither the good trace nor the compiled program cached.
+    # Cold start: neither the good trace nor the lowered program cached.
     cache.clear()
     clear_program_cache()
 
@@ -102,7 +105,8 @@ def _bench_component(name, patterns, observe, quick, lines, failures):
     )
     batch_seconds = time.perf_counter() - started
 
-    # Compiled, cache-cold (trace + program compiled inside the timing).
+    # Lowered engine, cache-cold (trace + program lowered inside the
+    # timing).
     cache.clear()
     clear_program_cache()
     cache.reset_stats()
@@ -113,7 +117,7 @@ def _bench_component(name, patterns, observe, quick, lines, failures):
     cold_lookups = cache.stats.lookups
     cold_hits = cache.stats.hits
 
-    # Compiled, cache-warm: the good trace and program are reused.
+    # Lowered engine, cache-warm: the good trace and program are reused.
     started = time.perf_counter()
     warm = grade(netlist, patterns, fault_list, GradeOptions(
         engine="compiled", observe=observe, name=name))

@@ -15,7 +15,7 @@ This module holds the three pieces the split needs:
 * the **worker-side shard job** (:func:`grade_shard`) with a
   process-local component cache: the first shard of a component builds
   its netlist, fault list, observe plan and (via the engine) the good
-  trace and compiled program **once per worker**; every later shard of
+  trace and lowered program **once per worker**; every later shard of
   that component reuses them and only pays for its own faults.
 * the **deterministic merge** (:func:`merge_shard_results`): shard
   verdicts are per-fault properties, so the merged

@@ -12,15 +12,15 @@ picks an engine (``"auto"``) and returns a
   simulation over levelized netlists (one Python bitwise op evaluates a gate
   under every pattern at once);
 * :mod:`~repro.faultsim.engine` — the :class:`FaultSimEngine` registry and
-  the engines (``differential``, ``batch``, ``compiled``, ``packed``)
-  behind the :func:`grade` facade;
+  the engines (``differential``, ``batch``, ``packed`` and its second
+  name ``compiled``) behind the :func:`grade` facade;
 * :mod:`~repro.faultsim.options` — the one validated
   :class:`GradeOptions` object every grading entry point shares;
-* :mod:`~repro.faultsim.packed` — fault-parallel bit-packed grading (up
-  to ``lanes - 1`` fault classes per big-int word next to the good
-  machine);
+* :mod:`~repro.faultsim.packed` — the one lowered engine: fault-parallel
+  bit-packed grading (up to ``lanes - 1`` fault classes per big-int word
+  next to the good machine);
 * :mod:`~repro.faultsim.lowering` — netlist lowering / code generation for
-  the compiled engine (dead-net elimination, constant folding, fused gate
+  the packed engine (dead-net elimination, constant folding, fused gate
   kernels);
 * :mod:`~repro.faultsim.trace_cache` — the process-wide good-trace cache
   keyed by structural netlist and stimulus hashes;
@@ -32,7 +32,7 @@ picks an engine (``"auto"``) and returns a
 * :mod:`~repro.faultsim.differential` — per-fault event-driven faulty
   simulation against stored good values, with fault dropping;
 * :mod:`~repro.faultsim.harness` — :class:`CampaignResult`, the per-component
-  grading outcome every engine returns;
+  grading outcome every engine returns, and the helpers the engines share;
 * :mod:`~repro.faultsim.coverage` — FC / MOFC reports (the paper's Table 5
   quantities).
 """

@@ -1,22 +1,23 @@
 """Fault-simulation engines behind one facade: :func:`grade`.
 
-Three interchangeable engines grade a fault universe against a stimulus:
+Three engines grade a fault universe against a stimulus:
 
 * ``differential`` — per-fault event-driven difference propagation against
   the recorded good trace (:mod:`repro.faultsim.differential`).  Excels
   when most faults drop quickly or never excite (sequential traces,
-  shallow circuits).
+  shallow circuits), and is the reference oracle the benches gate on.
 * ``batch`` — the lane-parallel interpreter
   (:mod:`repro.faultsim.parallel`): a batch of faults rides the bit lanes
   of one full-circuit walk.  The slow-but-simple cross-check engine.
-* ``compiled`` — lowers the netlist once to generated Python
-  (:mod:`repro.faultsim.lowering`) and grades faults against the cached
-  good trace with pattern-parallel single-fault propagation
-  (combinational) or batched lanes with fault dropping and lane
-  repacking (sequential).  The fast engine for deep combinational cones.
+* ``packed`` — the one lowered engine (:mod:`repro.faultsim.packed`): the
+  netlist is lowered once to generated level kernels
+  (:mod:`repro.faultsim.lowering`) and fault-parallel words carry the
+  good machine in group/lane 0 next to a batch of fault classes, through
+  one combinational pass and one sequential cycle walk.  ``compiled`` is
+  registered as a second name for it (:class:`CompiledEngine`).
 
 All engines implement the :class:`FaultSimEngine` protocol and are
-registered by name; ``engine="auto"`` picks per netlist (the compiled
+registered by name; ``engine="auto"`` picks per netlist (the lowered
 engine wins on deep combinational circuits; the differential engine wins
 on sequential and very shallow ones, where per-fault early exits beat
 batch-wide evaluation).
@@ -41,20 +42,25 @@ minimum.  Detected flags, coverage and excitation stay exact either way
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Protocol
 
 from repro.errors import FaultSimError
 from repro.faultsim.differential import Detection, DifferentialFaultSimulator
-from repro.faultsim.faults import Fault, FaultKind, FaultList, build_fault_list
-from repro.faultsim.harness import CampaignResult
-from repro.faultsim.lowering import cached_compile_comb, cached_compile_seq
+from repro.faultsim.faults import Fault, FaultList, build_fault_list
+from repro.faultsim.harness import (
+    CampaignResult,
+    Stimulus,
+    _excited_sequence,
+    _graded_reps,
+)
 from repro.faultsim.observe import ObservePlan
 from repro.faultsim.options import (
     GradeOptions,
     resolve_prune_mode,
 )
-from repro.faultsim.parallel import ParallelFaultSimulator, _eval
+from repro.faultsim.packed import PackedEngine
+from repro.faultsim.parallel import ParallelFaultSimulator
 from repro.faultsim.simulator import GoodTrace
 from repro.faultsim.store import (
     result_from_payload,
@@ -63,7 +69,7 @@ from repro.faultsim.store import (
 )
 from repro.faultsim.trace_cache import good_trace_for, set_active_store
 from repro.netlist.levelize import depth
-from repro.netlist.netlist import CONST1, DFF, Gate, Netlist, PortDirection
+from repro.netlist.netlist import Netlist
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see grade())
     from repro.analysis.collapse import CollapseMap
@@ -75,6 +81,7 @@ __all__ = [
     "DifferentialEngine",
     "FaultSimEngine",
     "GradeOptions",
+    "Stimulus",
     "default_engine_name",
     "engine_names",
     "get_engine",
@@ -84,12 +91,6 @@ __all__ = [
     "resolve_prune_mode",
     "select_engine",
 ]
-
-Stimulus = Sequence[Mapping[str, int]]
-
-#: Prefetched per-fault record of the combinational chunk loop:
-#: (rep, stuck, site, start, site_mask, reader, gate, pin).
-_CombEntry = tuple[int, int, int, int, int, bool, Gate | None, int]
 
 
 class FaultSimEngine(Protocol):
@@ -126,35 +127,9 @@ class FaultSimEngine(Protocol):
 # ------------------------------------------------------------------ shared
 
 
-def _graded_reps(
-    fault_list: FaultList,
-    skip: frozenset[int],
-    only: Sequence[int] | None = None,
-) -> list[int]:
-    reps = fault_list.class_representatives()
-    if only is not None:
-        wanted = set(only)
-        reps = [r for r in reps if r in wanted]
-    return [r for r in reps if r not in skip]
-
-
-def _output_nets(netlist: Netlist) -> tuple[int, ...]:
-    return tuple(
-        net
-        for p in netlist.ports.values()
-        if p.direction is PortDirection.OUTPUT
-        for net in p.nets
-    )
-
-
 def _excited_packed(fault: Fault, trace: GoodTrace) -> bool:
     forced = trace.lanes.mask if fault.stuck else 0
     return trace.values[0][fault.net] != forced
-
-
-def _excited_sequence(fault: Fault, trace: GoodTrace) -> bool:
-    site, forced = fault.net, fault.stuck
-    return any(values[site] != forced for values in trace.values)
 
 
 def _excited(fault: Fault, trace: GoodTrace, packed: bool) -> bool:
@@ -268,400 +243,25 @@ class BatchEngine:
         return result
 
 
-# ----------------------------------------------------------------- compiled
+# ------------------------------------------------------------------ lowered
 
 
-#: "auto" prefers the compiled engine only on combinational circuits at
+#: "auto" prefers the lowered engine only on combinational circuits at
 #: least this deep: below it (wide, shallow mux trees) recomputing the
-#: whole cone per fault loses to the differential engine's early exits.
+#: whole cone per fault group loses to the differential engine's early
+#: exits.
 AUTO_MIN_DEPTH = 6
 
-#: Combinational chunk schedule: a narrow first chunk detects the easy
-#: ~90% of faults cheaply (faults drop out of later chunks), then widths
-#: grow geometrically so stubborn faults see many patterns per pass.
-CHUNK_SCHEDULE = (256, 1024, 4096)
 
+class CompiledEngine(PackedEngine):
+    """The lowered engine under its historical name.
 
-def _chunk_spans(n_lanes: int) -> Iterable[tuple[int, int]]:
-    base = 0
-    first, second, rest = CHUNK_SCHEDULE
-    for width in (first, second):
-        if base >= n_lanes:
-            return
-        width = min(width, n_lanes - base)
-        yield base, width
-        base += width
-    while base < n_lanes:
-        width = min(rest, n_lanes - base)
-        yield base, width
-        base += width
-
-
-class CompiledEngine:
-    """Grading through generated code and the good-trace cache.
-
-    Combinational: pattern-parallel single-fault propagation — the good
-    values are mutated in place at the fault site and one generated
-    function re-evaluates only levels at or above it, returning the fused
-    detection word.  Faults drop out of later (wider) chunks once
-    detected.
-
-    Sequential: batches of faults ride bit lanes through per-level
-    generated kernels with injection applied between levels; detected
-    faults leave the live-lane mask immediately (fault dropping), and the
-    batch is repacked onto fewer lanes when occupancy falls below
-    ``repack_threshold`` (smaller lane words make every big-int op
-    cheaper); an emptied batch exits the cycle walk early.
+    Grading is :class:`~repro.faultsim.packed.PackedEngine` verbatim; the
+    subclass keeps ``"compiled"`` a distinct registered name and class,
+    so per-class instrumentation and requests that name it keep working.
     """
 
     name = "compiled"
-
-    def __init__(
-        self,
-        batch_size: int = 256,
-        repack_threshold: float = 0.5,
-        min_repack_drop: int = 8,
-    ):
-        if batch_size < 1:
-            raise FaultSimError("batch size must be positive")
-        if not 0.0 <= repack_threshold <= 1.0:
-            raise FaultSimError("repack threshold must be within [0, 1]")
-        self.batch_size = batch_size
-        self.repack_threshold = repack_threshold
-        self.min_repack_drop = min_repack_drop
-
-    def grade(
-        self,
-        netlist: Netlist,
-        stimulus: Stimulus,
-        fault_list: FaultList,
-        plan: ObservePlan,
-        *,
-        name: str = "",
-        skip: frozenset[int] = frozenset(),
-        only: Sequence[int] | None = None,
-    ) -> CampaignResult:
-        result = CampaignResult(
-            name or netlist.name, fault_list,
-            n_patterns=len(stimulus), pruned=set(skip),
-        )
-        if netlist.dffs:
-            self._grade_sequential(
-                netlist, stimulus, fault_list, plan, result, skip, only
-            )
-        else:
-            self._grade_combinational(
-                netlist, stimulus, fault_list, plan, result, skip, only
-            )
-        return result
-
-    # ---------------------------------------------------- combinational
-
-    def _grade_combinational(
-        self,
-        netlist: Netlist,
-        patterns: Stimulus,
-        fault_list: FaultList,
-        plan: ObservePlan,
-        result: CampaignResult,
-        skip: frozenset[int],
-        only: Sequence[int] | None = None,
-    ) -> None:
-        trace = good_trace_for(netlist, patterns, packed=True)
-        good = trace.values[0]
-        full_mask = trace.lanes.mask
-
-        obs = plan.packed_net_masks(netlist)
-        if obs is None:
-            obs = {net: full_mask for net in _output_nets(netlist)}
-        prog = cached_compile_comb(netlist, obs)
-        fn = prog.fn
-        driven_at = prog.driven_at
-        gate_level = prog.gate_level
-        has_reader = prog.has_reader
-        obs_net_masks = prog.obs_net_masks
-        gates = netlist.gates
-        detections = result.detections
-        detected = result.detected
-
-        # Full-width excitation screen: a site the stimulus never drives
-        # to the opposite value can never be detected (O(1) per fault).
-        # Survivors are prefetched into flat tuples so the chunk loop does
-        # no attribute or dict lookups per fault:
-        # (rep, stuck, site, start, site_mask, reader, gate, pin).
-        pending: list[_CombEntry] = []
-        for rep in _graded_reps(fault_list, skip, only):
-            fault = fault_list.fault(rep)
-            if good[fault.net] == (full_mask if fault.stuck else 0):
-                detections[rep] = Detection(False, excited=False)
-                continue
-            if fault.kind is FaultKind.STEM:
-                site = fault.net
-                start = driven_at.get(site, 0) + 1
-                gate: Gate | None = None
-                pin = 0
-            else:  # BRANCH (combinational netlists have no DFF_D)
-                gate = gates[fault.gate]
-                site = gate.output
-                start = gate_level[gate.index] + 1
-                pin = fault.pin
-            pending.append((
-                rep, fault.stuck, site, start,
-                obs_net_masks.get(site, 0), site in has_reader, gate, pin,
-            ))
-
-        for base, width in _chunk_spans(trace.lanes.count):
-            if not pending:
-                break
-            chunk_mask = (1 << width) - 1
-            gc = [(word >> base) & chunk_mask for word in good]
-            om = tuple((m >> base) & chunk_mask for m in prog.masks)
-            still: list[_CombEntry] = []
-            for entry in pending:
-                rep, stuck, site, start, site_mask, reader, gate, pin = entry
-                forced = chunk_mask if stuck else 0
-                old = gc[site]
-                if gate is None:
-                    if old == forced:
-                        still.append(entry)
-                        continue
-                    new = forced
-                else:
-                    vals = [gc[n] for n in gate.inputs]
-                    vals[pin] = forced
-                    new = _eval(gate.gtype, vals, chunk_mask)
-                    if new == old:
-                        still.append(entry)
-                        continue
-                det = (new ^ old) & (site_mask >> base) & chunk_mask
-                if not det and reader:
-                    # Direct observation already proves detection when det
-                    # is non-zero (lanes are a partial witness), so the
-                    # downstream cone only needs evaluating when it is not.
-                    gc[site] = new
-                    det = fn(gc, chunk_mask, om, start)
-                    gc[site] = old
-                if det:
-                    detections[rep] = Detection(True, 0, det << base,
-                                                excited=True)
-                    detected.add(rep)
-                else:
-                    still.append(entry)
-            pending = still
-
-        for entry in pending:
-            # Survived every chunk despite being excited somewhere.
-            detections[entry[0]] = Detection(False, excited=True)
-
-    # -------------------------------------------------------- sequential
-
-    def _grade_sequential(
-        self,
-        netlist: Netlist,
-        cycles: Stimulus,
-        fault_list: FaultList,
-        plan: ObservePlan,
-        result: CampaignResult,
-        skip: frozenset[int],
-        only: Sequence[int] | None = None,
-    ) -> None:
-        trace = good_trace_for(netlist, cycles, packed=False)
-        good_values = trace.values
-        dffs = netlist.dffs
-        n_nets = netlist.n_nets
-
-        all_obs = _output_nets(netlist)
-        if plan.observes_everything:
-            obs_per_cycle = None
-        else:
-            obs_per_cycle = [
-                tuple(nets)
-                for nets in plan.net_masks(netlist, 1)
-            ]
-        roots = set(all_obs if obs_per_cycle is None else
-                    (n for nets in obs_per_cycle for n in nets))
-        roots.update(d.d for d in dffs)
-        prog = cached_compile_seq(netlist, sorted(roots))
-        level_fns = prog.level_fns
-        driven_at = prog.driven_at
-        gate_level = prog.gate_level
-        keep = prog.keep
-        max_level = prog.max_level
-        gates = netlist.gates
-
-        input_ports = [
-            (p.name, p.nets)
-            for p in netlist.ports.values()
-            if p.direction is PortDirection.INPUT
-        ]
-        detections = result.detections
-        detected = result.detected
-
-        reps = _graded_reps(fault_list, skip, only)
-        for start in range(0, len(reps), self.batch_size):
-            batch = reps[start : start + self.batch_size]
-            self._run_seq_batch(
-                batch, fault_list, cycles, good_values, dffs, n_nets,
-                input_ports, level_fns, driven_at, gate_level, keep,
-                max_level, gates, obs_per_cycle, all_obs,
-                detections, detected,
-            )
-        for rep in reps:
-            if rep not in detected:
-                excited = _excited_sequence(fault_list.fault(rep), trace)
-                detections[rep] = Detection(False, excited=excited)
-
-    def _run_seq_batch(
-        self,
-        batch: Sequence[int],
-        fault_list: FaultList,
-        cycles: Stimulus,
-        good_values: list[list[int]],
-        dffs: Sequence[DFF],
-        n_nets: int,
-        input_ports: list[tuple[str, tuple[int, ...]]],
-        level_fns: Sequence[Callable[[list[int], int], None]],
-        driven_at: Mapping[int, int],
-        gate_level: Mapping[int, int],
-        keep: frozenset[int],
-        max_level: int,
-        gates: Sequence[Gate],
-        obs_per_cycle: list[tuple[int, ...]] | None,
-        all_obs: tuple[int, ...],
-        detections: dict[int, Detection],
-        detected: set[int],
-    ) -> None:
-        n_lanes = len(batch)
-        mask = (1 << n_lanes) - 1
-        lane_reps = list(batch)
-
-        # Injection tables, grouped by the level after which they apply.
-        net_fix: dict[int, dict[int, list[int]]] = {}  # level -> net -> [set, clear]
-        pin_fix: dict[int, dict[int, dict[int, list[int]]]] = {}  # level -> gate -> pin -> [s, c]
-        dff_fix: dict[int, list[int]] = {}  # dff index -> [set, clear]
-        for lane, rep in enumerate(lane_reps):
-            fault = fault_list.fault(rep)
-            bit = 1 << lane
-            slot = 0 if fault.stuck else 1
-            if fault.kind is FaultKind.STEM:
-                level = driven_at.get(fault.net, 0)
-                entry = net_fix.setdefault(level, {}).setdefault(
-                    fault.net, [0, 0]
-                )
-                entry[slot] |= bit
-            elif fault.kind is FaultKind.BRANCH:
-                if fault.gate not in keep:
-                    continue  # unobservable cone: cannot be detected
-                level = gate_level[fault.gate]
-                entry = (
-                    pin_fix.setdefault(level, {})
-                    .setdefault(fault.gate, {})
-                    .setdefault(fault.pin, [0, 0])
-                )
-                entry[slot] |= bit
-            else:  # DFF_D
-                entry = dff_fix.setdefault(fault.gate, [0, 0])
-                entry[slot] |= bit
-
-        state = [mask if d.init else 0 for d in dffs]
-        live = mask
-        alive = n_lanes
-
-        for t, cycle in enumerate(cycles):
-            values = [0] * n_nets
-            values[CONST1] = mask
-            for port_name, nets in input_ports:
-                word = cycle.get(port_name, 0)
-                for j, net in enumerate(nets):
-                    values[net] = mask if (word >> j) & 1 else 0
-            for dff, q_word in zip(dffs, state, strict=True):
-                values[dff.q] = q_word
-
-            source_fix = net_fix.get(0)
-            if source_fix:
-                for net, (f_set, f_clear) in source_fix.items():
-                    values[net] = (values[net] & ~f_clear) | f_set
-
-            for level in range(1, max_level + 1):
-                level_fns[level](values, mask)
-                gate_fixes = pin_fix.get(level)
-                if gate_fixes:
-                    for gate_index, pins in gate_fixes.items():
-                        gate = gates[gate_index]
-                        vals = [values[n] for n in gate.inputs]
-                        for pin, (f_set, f_clear) in pins.items():
-                            vals[pin] = (vals[pin] & ~f_clear) | f_set
-                        values[gate.output] = _eval(gate.gtype, vals, mask)
-                fixes = net_fix.get(level)
-                if fixes:
-                    for net, (f_set, f_clear) in fixes.items():
-                        values[net] = (values[net] & ~f_clear) | f_set
-
-            good = good_values[t]
-            obs_nets = all_obs if obs_per_cycle is None else obs_per_cycle[t]
-            diff = 0
-            for net in obs_nets:
-                diff |= (values[net] ^ (mask if good[net] else 0)) & live
-                if diff == live:
-                    break
-            if diff:
-                bits = diff
-                while bits:
-                    bit = bits & -bits
-                    bits ^= bit
-                    rep = lane_reps[bit.bit_length() - 1]
-                    detections[rep] = Detection(True, t, bit, excited=True)
-                    detected.add(rep)
-                live &= ~diff
-                alive = bin(live).count("1")
-                if not live:
-                    return  # whole batch detected: drop out early
-
-            new_state = [values[d.d] for d in dffs]
-            for dff_index, (f_set, f_clear) in dff_fix.items():
-                new_state[dff_index] = (
-                    (new_state[dff_index] & ~f_clear) | f_set
-                )
-            state = new_state
-
-            if (
-                alive <= n_lanes * self.repack_threshold
-                and n_lanes - alive >= self.min_repack_drop
-            ):
-                survivors = [
-                    lane for lane in range(n_lanes) if (live >> lane) & 1
-                ]
-                repack = _repack_word(survivors)
-                state = [repack(w) for w in state]
-                for fixes in net_fix.values():
-                    for entry in fixes.values():
-                        entry[0] = repack(entry[0])
-                        entry[1] = repack(entry[1])
-                for gate_fixes in pin_fix.values():
-                    for pins in gate_fixes.values():
-                        for entry in pins.values():
-                            entry[0] = repack(entry[0])
-                            entry[1] = repack(entry[1])
-                for entry in dff_fix.values():
-                    entry[0] = repack(entry[0])
-                    entry[1] = repack(entry[1])
-                lane_reps = [lane_reps[lane] for lane in survivors]
-                n_lanes = len(survivors)
-                mask = (1 << n_lanes) - 1
-                live = mask
-                alive = n_lanes
-
-
-def _repack_word(survivors: list[int]) -> Callable[[int], int]:
-    """Compaction closure: move surviving lanes down to a dense prefix."""
-
-    def repack(word: int) -> int:
-        out = 0
-        for new_lane, old_lane in enumerate(survivors):
-            out |= ((word >> old_lane) & 1) << new_lane
-        return out
-
-    return repack
 
 
 # ------------------------------------------------------------ prune modes
@@ -723,18 +323,10 @@ def get_engine(name: str) -> FaultSimEngine:
     return factory()
 
 
-def _packed_factory() -> FaultSimEngine:
-    # Local import: the packed engine reuses this module's helpers, so
-    # it can only load once the module body has finished executing.
-    from repro.faultsim.packed import PackedEngine
-
-    return PackedEngine()
-
-
 register_engine("differential", DifferentialEngine)
 register_engine("batch", BatchEngine)
 register_engine("compiled", CompiledEngine)
-register_engine("packed", _packed_factory)
+register_engine("packed", PackedEngine)
 
 
 def default_engine_name(netlist: Netlist) -> str:
@@ -742,11 +334,11 @@ def default_engine_name(netlist: Netlist) -> str:
 
     Sequential circuits and very shallow combinational ones go to the
     differential engine (per-fault early exits dominate); deep
-    combinational cones go to the compiled engine.
+    combinational cones go to the lowered ``packed`` engine.
     """
     if netlist.dffs or depth(netlist) < AUTO_MIN_DEPTH:
         return "differential"
-    return "compiled"
+    return "packed"
 
 
 # --------------------------------------------------------------- collapsing

@@ -6,16 +6,53 @@ combinational component, or the exact traced cycle sequence for a sequential
 one) and grades every collapsed fault class, honouring observability
 restrictions.  Grading itself runs through the engine facade
 (:func:`repro.faultsim.engine.grade`); this module holds the
-:class:`CampaignResult` every engine and campaign layer returns.
+:class:`CampaignResult` every engine and campaign layer returns, plus the
+few stimulus and fault-universe helpers the engine modules share.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.faultsim.coverage import ComponentCoverage
 from repro.faultsim.differential import Detection
 from repro.faultsim.faults import Fault, FaultList
+from repro.faultsim.simulator import GoodTrace
+from repro.netlist.netlist import Netlist, PortDirection
+
+#: Per entry, ``{input port: value}``: an unordered pattern set for a
+#: combinational netlist, an in-order cycle sequence for a sequential one.
+Stimulus = Sequence[Mapping[str, int]]
+
+
+def _graded_reps(
+    fault_list: FaultList,
+    skip: frozenset[int],
+    only: Sequence[int] | None = None,
+) -> list[int]:
+    """Class representatives to grade, in canonical order."""
+    reps = fault_list.class_representatives()
+    if only is not None:
+        wanted = set(only)
+        reps = [r for r in reps if r in wanted]
+    return [r for r in reps if r not in skip]
+
+
+def _output_nets(netlist: Netlist) -> tuple[int, ...]:
+    return tuple(
+        net
+        for p in netlist.ports.values()
+        if p.direction is PortDirection.OUTPUT
+        for net in p.nets
+    )
+
+
+def _excited_sequence(fault: Fault, trace: GoodTrace) -> bool:
+    """Did any cycle of a sequential good trace drive the fault site to
+    the opposite value?"""
+    site, forced = fault.net, fault.stuck
+    return any(values[site] != forced for values in trace.values)
 
 
 @dataclass

@@ -1,12 +1,13 @@
-"""Fault-parallel bit-packed grading: the ``packed`` engine.
+"""Fault-parallel bit-packed grading: the one lowered engine.
 
-The compiled engine (:mod:`repro.faultsim.engine`) is *pattern*-parallel:
-one fault at a time rides a whole chunk of patterns through generated
-code.  This engine is additionally *fault*-parallel — the classic
-parallel-fault trick: up to ``lanes - 1`` fault classes are packed into
-one Python big-int next to the good machine, so each generated kernel
+The netlist is lowered once to generated level kernels
+(:mod:`repro.faultsim.lowering`).  Grading is *fault*-parallel — the
+classic parallel-fault trick: up to ``lanes - 1`` fault classes are packed
+into one Python big-int next to the good machine, so each generated kernel
 evaluation serves a whole group of faults at once and the per-gate
-interpreter overhead is amortized across the group.
+interpreter overhead is amortized across the group.  The engine registers
+as ``packed`` and, through its subclass
+:class:`~repro.faultsim.engine.CompiledEngine`, as ``compiled``.
 
 Data layout (combinational).  One word carries ``G`` *lane groups* of
 ``W`` pattern lanes each — group 0 is the good machine, group ``i >= 1``
@@ -29,56 +30,79 @@ fresh groups — wider chunks only ever carry the stubborn faults.
 Cone fusion.  Unlike the other engines this one preserves the *caller's*
 ``only`` order instead of re-canonicalising: collapsed grading passes
 super-class sim units in :meth:`CollapseMap.simulation_order`, which
-keeps dominance clusters (shared fanout cones, PR 6) contiguous — so the
+keeps dominance clusters (shared fanout cones) contiguous — so the
 members of one cone land in the same word and one kernel evaluation
 serves the whole super-class group.  Verdicts are order-independent, so
 this is purely a locality win.
 
-Sequential netlists run the compiled engine's batched cycle walk with
-the good machine packed into lane 0 — the detection reference is read
-out of the word itself instead of the recorded trace.
+Sequential netlists run one batched cycle walk: lane ``i + 1`` carries
+fault class ``i`` and lane 0 the good machine, so the detection reference
+is read out of the word itself instead of the recorded trace.  Detected
+lanes drop out at once, and the word is repacked onto fewer lanes when
+occupancy falls below :data:`REPACK_THRESHOLD`.
 
 Verdicts are bit-identical to the other engines (the cross-engine
-equivalence suite and ``benchmarks/bench_packed.py`` gate this):
-``detected``, ``excited`` and the first detecting cycle agree;
-``Detection.lanes`` remains a partial witness as documented in
-:mod:`repro.faultsim.engine`.
+equivalence suite and ``benchmarks/bench_packed.py`` gate this against
+the differential engine): ``detected``, ``excited`` and the first
+detecting cycle agree; ``Detection.lanes`` remains a partial witness as
+documented in :mod:`repro.faultsim.engine`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from repro.errors import FaultSimError
 from repro.faultsim.differential import Detection
-from repro.faultsim.engine import (
+from repro.faultsim.faults import FaultKind, FaultList
+from repro.faultsim.harness import (
+    CampaignResult,
     Stimulus,
     _excited_sequence,
     _graded_reps,
     _output_nets,
-    _repack_word,
 )
-from repro.faultsim.faults import FaultKind, FaultList
-from repro.faultsim.harness import CampaignResult
-from repro.faultsim.lowering import cached_compile_seq
+from repro.faultsim.lowering import CompiledSeq, cached_compile_seq
 from repro.faultsim.observe import ObservePlan
 from repro.faultsim.options import DEFAULT_LANES, GradeOptions
 from repro.faultsim.parallel import _eval
 from repro.faultsim.trace_cache import good_trace_for
-from repro.netlist.netlist import CONST0, CONST1, Netlist, PortDirection
+from repro.netlist.netlist import (
+    CONST0,
+    CONST1,
+    DFF,
+    Gate,
+    Netlist,
+    PortDirection,
+)
 
 #: Pending combinational fault: (rep, stuck, inject level, net, gate, pin);
 #: ``gate`` is -1 for stem faults.
 _PackedEntry = tuple[int, int, int, int, int, int]
 
-#: Pattern widths per combinational pass.  Narrower than the compiled
-#: engine's chunk schedule on purpose: every per-chunk cost here — good
-#: value replication, kernel evaluation, injection masks — scales with
-#: ``lane groups x width`` bits, and the vast majority of faults are
-#: detected within the first few dozen patterns, so starting narrow and
-#: growing geometrically lets the cheap passes kill the easy faults
-#: before any wide word is ever built.
-PACKED_CHUNK_SCHEDULE = (32, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+#: Fault-injection set/clear masks, keyed by the level after which they
+#: apply: level -> net -> [set, clear] and level -> gate -> pin -> [s, c].
+_NetFixes = dict[int, dict[int, list[int]]]
+_PinFixes = dict[int, dict[int, dict[int, list[int]]]]
+
+#: Pattern widths per combinational pass, narrow on purpose: every
+#: per-chunk cost here — good value replication, kernel evaluation,
+#: injection masks — scales with ``lane groups x width`` bits, and the
+#: vast majority of faults are detected within the first few dozen
+#: patterns, so starting narrow and growing geometrically lets the cheap
+#: passes kill the easy faults before any wide word is ever built.
+CHUNK_WIDTHS = (32, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+
+#: Fewest fault lanes per sequential word, whatever ``lanes`` says: every
+#: batch is one whole cycle walk over the stimulus, so narrower words
+#: would only multiply the number of walks.
+SEQ_MIN_BATCH = 255
+
+#: Sequential repacking: once live fault lanes fall to this fraction of
+#: the word, and at least :data:`MIN_REPACK_DROP` lanes are dead, the
+#: survivors move onto a narrower word (every big-int op gets cheaper).
+REPACK_THRESHOLD = 0.5
+MIN_REPACK_DROP = 8
 
 
 def _packed_spans(n_lanes: int) -> Iterable[tuple[int, int]]:
@@ -90,8 +114,8 @@ def _packed_spans(n_lanes: int) -> Iterable[tuple[int, int]]:
     mask bits, so they can never convict a fault.
     """
     base = 0
-    schedule = iter(PACKED_CHUNK_SCHEDULE)
-    rest = PACKED_CHUNK_SCHEDULE[-1]
+    schedule = iter(CHUNK_WIDTHS)
+    rest = CHUNK_WIDTHS[-1]
     while base < n_lanes:
         width = min(next(schedule, rest), n_lanes - base)
         yield base, (width + 7) // 8 * 8
@@ -119,17 +143,10 @@ class PackedEngine:
 
     name = "packed"
 
-    def __init__(
-        self,
-        lanes: int = DEFAULT_LANES,
-        repack_threshold: float = 0.5,
-        min_repack_drop: int = 8,
-    ):
+    def __init__(self, lanes: int = DEFAULT_LANES):
         if lanes < 2:
             raise FaultSimError("packed engine needs at least 2 lane groups")
         self.lanes = lanes
-        self.repack_threshold = repack_threshold
-        self.min_repack_drop = min_repack_drop
 
     def configure(self, options: GradeOptions) -> None:
         """Engine-config hook called by the grading facade."""
@@ -223,8 +240,9 @@ class PackedEngine:
         for n in sorted(needed):
             by_level.setdefault(driven_at.get(n, 0), []).append(n)
 
-        # Full-width excitation screen (identical to the compiled
-        # engine), then dead-cone screen: a fault whose effect no kernel
+        # Full-width excitation screen (a site the stimulus never drives
+        # to the opposite value can never be detected), then dead-cone
+        # screen: a fault whose effect no kernel
         # reads and no entry observes can never be detected.
         pending: list[_PackedEntry] = []
         for rep in reps:
@@ -314,8 +332,8 @@ class PackedEngine:
         good_rep: dict[int, int],
         obs_pack: list[tuple[int, int, int]],
         by_level: dict[int, list[int]],
-        level_fns: Sequence[object],
-        gates: Sequence[object],
+        level_fns: Sequence[Callable[[list[int], int], None]],
+        gates: Sequence[Gate],
         n_nets: int,
         max_level: int,
         width: int,
@@ -328,9 +346,9 @@ class PackedEngine:
     ) -> list[_PackedEntry]:
         """One word, one chunk: good machine + ``len(batch)`` faults."""
         # Injection tables: span masks per group, applied between levels
-        # exactly like the compiled sequential walk.
-        net_fix: dict[int, dict[int, list[int]]] = {}
-        pin_fix: dict[int, dict[int, dict[int, list[int]]]] = {}
+        # exactly like the sequential walk.
+        net_fix: _NetFixes = {}
+        pin_fix: _PinFixes = {}
         min_level = max_level
         for gi, (_rep, stuck, level, net, gate, pin) in enumerate(
             batch, start=1
@@ -367,14 +385,14 @@ class PackedEngine:
         for level in sorted(set(net_fix) | set(pin_fix)):
             if level >= eval_from:
                 break
-            self._apply_fixes(
+            _apply_fixes(
                 v, pin_fix.get(level), net_fix.get(level), gates, full
             )
 
         for level in range(eval_from, max_level + 1):
-            level_fns[level](v, full)  # type: ignore[operator]
+            level_fns[level](v, full)
             if level in pin_fix or level in net_fix:
-                self._apply_fixes(
+                _apply_fixes(
                     v, pin_fix.get(level), net_fix.get(level), gates, full
                 )
 
@@ -401,27 +419,6 @@ class PackedEngine:
             else:
                 survivors.append(entry)
         return survivors
-
-    @staticmethod
-    def _apply_fixes(
-        v: list[int],
-        gate_fixes: dict[int, dict[int, list[int]]] | None,
-        fixes: dict[int, list[int]] | None,
-        gates: Sequence[object],
-        full: int,
-    ) -> None:
-        if gate_fixes:
-            for gate_index, pins in gate_fixes.items():
-                gate = gates[gate_index]
-                vals = [v[n] for n in gate.inputs]  # type: ignore[attr-defined]
-                for pin, (f_set, f_clear) in pins.items():
-                    vals[pin] = (vals[pin] & ~f_clear) | f_set
-                v[gate.output] = _eval(  # type: ignore[attr-defined]
-                    gate.gtype, vals, full  # type: ignore[attr-defined]
-                )
-        if fixes:
-            for net, (f_set, f_clear) in fixes.items():
-                v[net] = (v[net] & ~f_clear) | f_set
 
     # -------------------------------------------------------- sequential
 
@@ -457,10 +454,7 @@ class PackedEngine:
         detections = result.detections
         detected = result.detected
 
-        # The compiled engine's sequential walk is already fault-parallel
-        # (256 lanes per word); narrower words would just multiply the
-        # number of cycle walks, so never go below its batch size.
-        capacity = max(self.lanes - 1, 255)
+        capacity = max(self.lanes - 1, SEQ_MIN_BATCH)
         for start in range(0, len(reps), capacity):
             batch = reps[start : start + capacity]
             self._run_seq_batch(
@@ -480,37 +474,39 @@ class PackedEngine:
         batch: Sequence[int],
         fault_list: FaultList,
         cycles: Stimulus,
-        dffs: Sequence[object],
+        dffs: Sequence[DFF],
         n_nets: int,
         input_ports: list[tuple[str, tuple[int, ...]]],
-        prog: object,
-        gates: Sequence[object],
+        prog: CompiledSeq,
+        gates: Sequence[Gate],
         obs_per_cycle: list[tuple[int, ...]] | None,
         all_obs: tuple[int, ...],
         detections: dict[int, Detection],
         detected: set[int],
     ) -> None:
-        """Compiled-style cycle walk with the good machine in lane 0.
+        """One cycle walk with the good machine in lane 0.
 
         Lane ``i + 1`` carries fault ``batch[i]``; lane 0 gets no
         injection, so its trajectory *is* the good machine and the
         detection reference is read out of the word (bit 0) instead of
-        the recorded trace.  Lane values match the compiled engine's
-        lane-for-lane, so first detecting cycles are identical.
+        the recorded trace.  Detected lanes leave the live mask at once
+        (fault dropping), the word is repacked when occupancy falls
+        below :data:`REPACK_THRESHOLD`, and an emptied batch exits the
+        walk early.
         """
-        level_fns = prog.level_fns  # type: ignore[attr-defined]
-        driven_at = prog.driven_at  # type: ignore[attr-defined]
-        gate_level = prog.gate_level  # type: ignore[attr-defined]
-        keep = prog.keep  # type: ignore[attr-defined]
-        max_level = prog.max_level  # type: ignore[attr-defined]
+        level_fns = prog.level_fns
+        driven_at = prog.driven_at
+        gate_level = prog.gate_level
+        keep = prog.keep
+        max_level = prog.max_level
 
         n_lanes = len(batch) + 1
         mask = (1 << n_lanes) - 1
         lane_reps: list[int | None] = [None, *batch]
 
-        net_fix: dict[int, dict[int, list[int]]] = {}
-        pin_fix: dict[int, dict[int, dict[int, list[int]]]] = {}
-        dff_fix: dict[int, list[int]] = {}
+        net_fix: _NetFixes = {}
+        pin_fix: _PinFixes = {}
+        dff_fix: dict[int, list[int]] = {}  # dff index -> [set, clear]
         for lane, rep in enumerate(lane_reps):
             if rep is None:
                 continue
@@ -537,10 +533,7 @@ class PackedEngine:
                 entry = dff_fix.setdefault(fault.gate, [0, 0])
                 entry[slot] |= bit
 
-        state = [
-            mask if d.init else 0  # type: ignore[attr-defined]
-            for d in dffs
-        ]
+        state = [mask if d.init else 0 for d in dffs]
         live = mask & ~1  # lane 0 is the reference, never "detected"
         alive = n_lanes - 1
 
@@ -552,32 +545,17 @@ class PackedEngine:
                 for j, net in enumerate(nets):
                     values[net] = mask if (word >> j) & 1 else 0
             for dff, q_word in zip(dffs, state, strict=True):
-                values[dff.q] = q_word  # type: ignore[attr-defined]
+                values[dff.q] = q_word
 
-            source_fix = net_fix.get(0)
-            if source_fix:
-                for net, (f_set, f_clear) in source_fix.items():
-                    values[net] = (values[net] & ~f_clear) | f_set
-
+            if 0 in net_fix:
+                _apply_fixes(values, None, net_fix[0], gates, mask)
             for level in range(1, max_level + 1):
                 level_fns[level](values, mask)
-                gate_fixes = pin_fix.get(level)
-                if gate_fixes:
-                    for gate_index, pins in gate_fixes.items():
-                        gate = gates[gate_index]
-                        vals = [
-                            values[n]
-                            for n in gate.inputs  # type: ignore[attr-defined]
-                        ]
-                        for pin, (f_set, f_clear) in pins.items():
-                            vals[pin] = (vals[pin] & ~f_clear) | f_set
-                        values[gate.output] = _eval(  # type: ignore[attr-defined]
-                            gate.gtype, vals, mask  # type: ignore[attr-defined]
-                        )
-                fixes = net_fix.get(level)
-                if fixes:
-                    for net, (f_set, f_clear) in fixes.items():
-                        values[net] = (values[net] & ~f_clear) | f_set
+                if level in pin_fix or level in net_fix:
+                    _apply_fixes(
+                        values, pin_fix.get(level), net_fix.get(level),
+                        gates, mask,
+                    )
 
             obs_nets = all_obs if obs_per_cycle is None else obs_per_cycle[t]
             diff = 0
@@ -602,39 +580,63 @@ class PackedEngine:
                 if not live:
                     return  # every fault lane detected: drop out early
 
-            new_state = [
-                values[d.d]  # type: ignore[attr-defined]
-                for d in dffs
-            ]
+            state = [values[d.d] for d in dffs]
             for dff_index, (f_set, f_clear) in dff_fix.items():
-                new_state[dff_index] = (
-                    (new_state[dff_index] & ~f_clear) | f_set
-                )
-            state = new_state
+                state[dff_index] = (state[dff_index] & ~f_clear) | f_set
 
             if (
-                alive <= (n_lanes - 1) * self.repack_threshold
-                and (n_lanes - 1) - alive >= self.min_repack_drop
+                alive <= (n_lanes - 1) * REPACK_THRESHOLD
+                and (n_lanes - 1) - alive >= MIN_REPACK_DROP
             ):
                 survivors = [0] + [
                     lane for lane in range(1, n_lanes) if (live >> lane) & 1
                 ]
                 repack = _repack_word(survivors)
                 state = [repack(w) for w in state]
-                for fixes in net_fix.values():
-                    for entry in fixes.values():
+                tables = [
+                    *net_fix.values(),
+                    *(pins for gf in pin_fix.values() for pins in gf.values()),
+                    dff_fix,
+                ]
+                for table in tables:
+                    for entry in table.values():
                         entry[0] = repack(entry[0])
                         entry[1] = repack(entry[1])
-                for gate_fixes in pin_fix.values():
-                    for pins in gate_fixes.values():
-                        for entry in pins.values():
-                            entry[0] = repack(entry[0])
-                            entry[1] = repack(entry[1])
-                for entry in dff_fix.values():
-                    entry[0] = repack(entry[0])
-                    entry[1] = repack(entry[1])
                 lane_reps = [lane_reps[lane] for lane in survivors]
                 n_lanes = len(survivors)
                 mask = (1 << n_lanes) - 1
                 live = mask & ~1
                 alive = n_lanes - 1
+
+
+def _apply_fixes(
+    v: list[int],
+    gate_fixes: dict[int, dict[int, list[int]]] | None,
+    fixes: dict[int, list[int]] | None,
+    gates: Sequence[Gate],
+    full: int,
+) -> None:
+    """Inject one level's faults: re-evaluate pin-faulted gates with the
+    forced inputs, then force stem-faulted nets."""
+    if gate_fixes:
+        for gate_index, pins in gate_fixes.items():
+            gate = gates[gate_index]
+            vals = [v[n] for n in gate.inputs]
+            for pin, (f_set, f_clear) in pins.items():
+                vals[pin] = (vals[pin] & ~f_clear) | f_set
+            v[gate.output] = _eval(gate.gtype, vals, full)
+    if fixes:
+        for net, (f_set, f_clear) in fixes.items():
+            v[net] = (v[net] & ~f_clear) | f_set
+
+
+def _repack_word(survivors: list[int]) -> Callable[[int], int]:
+    """Compaction closure: move surviving lanes down to a dense prefix."""
+
+    def repack(word: int) -> int:
+        out = 0
+        for new_lane, old_lane in enumerate(survivors):
+            out |= ((word >> old_lane) & 1) << new_lane
+        return out
+
+    return repack

@@ -1,21 +1,31 @@
 """Cross-engine equivalence and facade tests for the grade() API.
 
 Every shipped Plasma component is graded with its traced phase-A stimulus
-(truncated to keep tier-1 fast) through all four registered engines;
-verdicts must agree fault by fault and the Table 5 rows must be
-bit-identical.  The compiled engine's fault dropping and lane repacking
-are additionally stress-tested against the differential engine with
-deliberately tiny batch sizes and aggressive repack settings.
+(truncated to keep tier-1 fast) through the three engine implementations
+(``compiled`` is a second name for ``packed``, pinned by
+:class:`TestOneLoweredEngine`); verdicts must agree fault by fault and the
+Table 5 rows must be bit-identical.  The packed sequential walk's fault
+dropping and lane repacking are additionally stress-tested against the
+differential engine with deliberately tiny batches and aggressive repack
+settings.
 """
 
+import inspect
 import random
 
 import pytest
 
+from repro.cli import build_parser
 from repro.core.campaign import execute_self_test
 from repro.core.methodology import SelfTestMethodology
 from repro.errors import FaultSimError
-from repro.faultsim import GradeOptions, build_fault_list, grade
+from repro.faultsim import (
+    GradeOptions,
+    build_fault_list,
+    grade,
+    lowering,
+    packed,
+)
 from repro.faultsim.engine import (
     AUTO_MIN_DEPTH,
     CompiledEngine,
@@ -25,14 +35,16 @@ from repro.faultsim.engine import (
     select_engine,
 )
 from repro.faultsim.lowering import clear_program_cache
+from repro.faultsim.packed import PackedEngine
 from repro.faultsim.observe import ObservePlan
 from repro.faultsim.trace_cache import global_trace_cache
 from repro.library import build_register_file
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.levelize import depth
 from repro.plasma.components import COMPONENTS, build_component
+from repro.service.schemas import parse_campaign_request
 
-ENGINES = ("differential", "batch", "compiled", "packed")
+ENGINES = ("differential", "batch", "packed")
 
 #: Stimulus truncation per component (cycles for sequential components,
 #: patterns for combinational ones) — full traces make tier-1 too slow.
@@ -137,7 +149,7 @@ class TestTraceCacheTransparency:
         clear_program_cache()
         cache.reset_stats()
 
-        opts = GradeOptions(engine="compiled", observe=observe)
+        opts = GradeOptions(engine="packed", observe=observe)
         cold = grade(netlist, stimulus, options=opts)
         hits_after_cold = cache.stats.hits
         warm = grade(netlist, stimulus, options=opts)
@@ -155,7 +167,7 @@ class TestTraceCacheTransparency:
         cycles = regfile_cycles()
         cache = global_trace_cache()
         cache.clear()
-        opts = GradeOptions(engine="compiled")
+        opts = GradeOptions(engine="packed")
         grade(build_register_file(n_registers=4, width=4), cycles,
               options=opts)
         misses = cache.stats.misses
@@ -169,7 +181,7 @@ class TestTraceCacheTransparency:
 class TestDroppingAndRepacking:
     """Fault dropping and lane repacking never change verdicts."""
 
-    def test_sequential_repack_verdicts_stable(self):
+    def test_sequential_repack_verdicts_stable(self, monkeypatch):
         netlist = build_register_file(n_registers=4, width=4)
         cycles = regfile_cycles()
         fault_list = build_fault_list(netlist)
@@ -177,15 +189,27 @@ class TestDroppingAndRepacking:
         want = get_engine("differential").grade(
             netlist, cycles, fault_list, plan
         )
+        # A small lane floor lets ``lanes`` set the batch width, so the
+        # walk runs several batches and repacks them mid-walk.
+        assert fault_list.n_collapsed > 7
+        repacks = []
+        repack_word = packed._repack_word
+
+        def counting_repack_word(survivors):
+            repacks.append(len(survivors))
+            return repack_word(survivors)
+
+        monkeypatch.setattr(packed, "_repack_word", counting_repack_word)
+        monkeypatch.setattr(packed, "SEQ_MIN_BATCH", 1)
         for batch_size, threshold, min_drop in (
             (7, 1.0, 1), (33, 0.9, 2), (64, 0.5, 8),
         ):
-            engine = CompiledEngine(
-                batch_size=batch_size,
-                repack_threshold=threshold,
-                min_repack_drop=min_drop,
-            )
+            monkeypatch.setattr(packed, "REPACK_THRESHOLD", threshold)
+            monkeypatch.setattr(packed, "MIN_REPACK_DROP", min_drop)
+            repacks.clear()
+            engine = PackedEngine(lanes=batch_size + 1)
             got = engine.grade(netlist, cycles, fault_list, plan)
+            assert repacks, (batch_size, threshold, min_drop)
             for rep, d in want.detections.items():
                 g = got.detections[rep]
                 assert (g.detected, g.cycle if d.detected else None,
@@ -204,7 +228,7 @@ class TestDroppingAndRepacking:
         want = get_engine("differential").grade(
             netlist, patterns, fault_list, plan
         )
-        got = get_engine("compiled").grade(
+        got = get_engine("packed").grade(
             netlist, patterns, fault_list, plan
         )
         assert got.detected == want.detected
@@ -229,8 +253,8 @@ class TestFacade:
         assert default_engine_name(build_component("RegF")) == "differential"
         assert depth(build_component("BMUX")) < AUTO_MIN_DEPTH
 
-    def test_auto_picks_compiled_for_deep_combinational(self):
-        assert default_engine_name(build_component("ALU")) == "compiled"
+    def test_auto_picks_packed_for_deep_combinational(self):
+        assert default_engine_name(build_component("ALU")) == "packed"
         assert depth(build_component("ALU")) >= AUTO_MIN_DEPTH
 
     def test_select_engine_resolves_auto_per_netlist(self):
@@ -268,3 +292,46 @@ class TestFacade:
         )
         assert via_facade.detected == direct.detected
         assert via_facade.fault_coverage == direct.fault_coverage
+
+
+#: Every engine name a request may carry (``compiled`` and ``packed``
+#: name one engine); each must be accepted on every grading surface.
+ACCEPTED_ENGINE_NAMES = ("auto", "differential", "batch", "compiled", "packed")
+
+
+def _cli_engine_choices():
+    parser = build_parser()
+    subparsers = next(
+        a for a in parser._actions if a.dest == "command"
+    )
+    campaign = subparsers.choices["campaign"]
+    return next(
+        a.choices for a in campaign._actions if a.dest == "engine"
+    )
+
+
+class TestOneLoweredEngine:
+    """``compiled`` is the packed engine under a second name.
+
+    ``auto`` resolving deep combinational netlists to ``packed`` is pinned
+    by ``TestFacade.test_auto_picks_packed_for_deep_combinational``.
+    """
+
+    def test_compiled_is_the_packed_engine(self):
+        assert issubclass(CompiledEngine, PackedEngine)
+        assert CompiledEngine.grade is PackedEngine.grade
+        assert get_engine("compiled").name == "compiled"
+
+    def test_pattern_parallel_lowering_is_gone(self):
+        # Per-level kernels are the only lowering left.
+        compilers = [n for n in dir(lowering) if n.startswith("compile")]
+        assert compilers == ["compile_seq"]
+
+    def test_packed_engine_takes_only_lanes(self):
+        assert list(inspect.signature(PackedEngine).parameters) == ["lanes"]
+
+    @pytest.mark.parametrize("name", ACCEPTED_ENGINE_NAMES)
+    def test_engine_name_still_accepted(self, name):
+        assert GradeOptions(engine=name).engine == name
+        assert name in _cli_engine_choices()
+        assert parse_campaign_request({"engine": name}).engine == name

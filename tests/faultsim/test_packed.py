@@ -17,7 +17,7 @@ from repro.faultsim import GradeOptions, build_fault_list, grade
 from repro.faultsim.engine import get_engine
 from repro.faultsim.observe import ObservePlan
 from repro.faultsim.packed import (
-    PACKED_CHUNK_SCHEDULE,
+    CHUNK_WIDTHS,
     PackedEngine,
     _packed_spans,
     _replicate,
@@ -75,10 +75,10 @@ class TestSpans:
         assert covered == n_lanes
 
     def test_schedule_starts_narrow_and_grows(self):
-        exact = sum(PACKED_CHUNK_SCHEDULE) + PACKED_CHUNK_SCHEDULE[-1]
+        exact = sum(CHUNK_WIDTHS) + CHUNK_WIDTHS[-1]
         widths = [w for _base, w in _packed_spans(exact)]
-        assert widths[0] == PACKED_CHUNK_SCHEDULE[0]
-        assert max(widths) == PACKED_CHUNK_SCHEDULE[-1]
+        assert widths[0] == CHUNK_WIDTHS[0]
+        assert max(widths) == CHUNK_WIDTHS[-1]
         # Non-decreasing: narrow passes first, wide passes only for the
         # stubborn tail (the final span of a ragged count may truncate).
         assert widths == sorted(widths)

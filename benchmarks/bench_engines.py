@@ -1,20 +1,18 @@
 """Experiment E1 — fault-simulation engine cross-check and throughput.
 
-The repository ships three engine implementations behind
+The repository ships two engine implementations behind
 :func:`repro.faultsim.grade` with identical verdict semantics:
 
 * **differential** — per fault, event-driven against stored good values,
-  with dropping (the historical campaign engine);
-* **batch** — a batch of faults rides bit lanes through one interpreted
-  full-circuit walk per cycle;
+  with dropping (the historical campaign engine and reference oracle);
 * **compiled** — the lowered engine (registered as ``packed`` and, under
-  its historical name, ``compiled``; this bench drives the second name
-  so it stays covered end to end): the netlist lowered once to generated
-  level kernels, fault-parallel words graded against the cached good
-  trace.
+  its historical names, ``batch`` and ``compiled``; this bench drives
+  ``compiled`` so the name stays covered end to end): the netlist
+  lowered once to generated level kernels, fault-parallel words graded
+  against the cached good trace.
 
 This bench grades the same components with the same traced stimulus and
-observability through all three, asserts fault-by-fault agreement,
+observability through both, asserts fault-by-fault agreement,
 checks that cache-warm re-grades are bit-identical to cache-cold ones,
 and reports throughput plus good-trace cache hit rates.  Agreement
 between engines with disjoint implementations is strong evidence none
@@ -24,12 +22,11 @@ Runs two ways:
 
 * ``PYTHONPATH=src python benchmarks/bench_engines.py [--quick]`` —
   standalone; exit code 1 on any agreement or throughput failure.
-  ``--quick`` (the CI gate) samples the slow batch engine and only
-  requires the lowered engine to beat it; the full run also requires
-  the lowered engine to be >= 3x the differential engine on ALU and
-  BSH at steady state (cache-warm — trace build and lowering are
-  one-time costs the good-trace and program caches amortize away; the
-  cache-cold time is still reported).
+  The full run also requires the lowered engine to be >= 3x the
+  differential engine on ALU and BSH at steady state (cache-warm —
+  trace build and lowering are one-time costs the good-trace and
+  program caches amortize away; the cache-cold time is still
+  reported); ``--quick`` (the CI gate) skips that floor.
 * via the tier-2 pytest-benchmark suite (full mode).
 """
 
@@ -40,9 +37,8 @@ import time
 from repro.core.campaign import execute_self_test
 from repro.core.methodology import SelfTestMethodology
 from repro.faultsim import build_fault_list
-from repro.faultsim.engine import grade, get_engine
+from repro.faultsim.engine import grade
 from repro.faultsim.lowering import clear_program_cache
-from repro.faultsim.observe import ObservePlan
 from repro.faultsim.options import GradeOptions
 from repro.faultsim.trace_cache import global_trace_cache
 from repro.plasma.components import build_component
@@ -50,11 +46,6 @@ from repro.plasma.components import build_component
 #: Components the throughput gate runs on (deep combinational cones —
 #: the lowered engine's home turf and the acceptance target).
 GATE_COMPONENTS = ("ALU", "BSH")
-
-#: Quick mode grades the batch engine on this many sampled fault classes
-#: (it is ~50x slower than the lowered engine; CI should not pay for a
-#: full pass).
-QUICK_BATCH_SAMPLE = 510
 
 #: Full-mode throughput floor: lowered engine (cache-warm) vs differential.
 FULL_SPEEDUP_FLOOR = 3.0
@@ -89,22 +80,6 @@ def _bench_component(name, patterns, observe, quick, lines, failures):
         engine="differential", observe=observe, name=name))
     diff_seconds = time.perf_counter() - started
 
-    # Batch engine: interpreted and slow; quick mode samples fault classes.
-    reps = fault_list.class_representatives()
-    if quick and len(reps) > QUICK_BATCH_SAMPLE:
-        stride = len(reps) // QUICK_BATCH_SAMPLE
-        sampled = set(reps[::stride][:QUICK_BATCH_SAMPLE])
-        batch_skip = frozenset(r for r in reps if r not in sampled)
-    else:
-        batch_skip = frozenset()
-    n_batch = len(reps) - len(batch_skip)
-    plan = ObservePlan.from_spec(observe, len(patterns), netlist)
-    started = time.perf_counter()
-    batch = get_engine("batch").grade(
-        netlist, patterns, fault_list, plan, name=name, skip=batch_skip
-    )
-    batch_seconds = time.perf_counter() - started
-
     # Lowered engine, cache-cold (trace + program lowered inside the
     # timing).
     cache.clear()
@@ -127,7 +102,6 @@ def _bench_component(name, patterns, observe, quick, lines, failures):
     hit_rate = warm_hits / warm_lookups if warm_lookups else 0.0
 
     diff_rate = n_faults / diff_seconds
-    batch_rate = n_batch / batch_seconds
     cold_rate = n_faults / cold_seconds
     warm_rate = n_faults / warm_seconds
 
@@ -138,8 +112,6 @@ def _bench_component(name, patterns, observe, quick, lines, failures):
     rows = [
         ("differential", n_faults, differential.n_detected, diff_seconds,
          diff_rate),
-        (f"batch[{n_batch}]", n_batch, batch.n_detected, batch_seconds,
-         batch_rate),
         ("compiled cold", n_faults, cold.n_detected, cold_seconds,
          cold_rate),
         ("compiled warm", n_faults, warm.n_detected, warm_seconds,
@@ -168,23 +140,12 @@ def _bench_component(name, patterns, observe, quick, lines, failures):
         failures.append(f"{name}: compiled (cold) disagrees with differential")
     if _verdicts(warm) != want or warm.detected != cold.detected:
         failures.append(f"{name}: cache-warm grade differs from cache-cold")
-    batch_want = {
-        rep: verdict for rep, verdict in want.items()
-        if rep not in batch_skip
-    }
-    if _verdicts(batch) != batch_want:
-        failures.append(f"{name}: batch engine disagrees with differential")
     if cold.fault_coverage != differential.fault_coverage:
         failures.append(f"{name}: FC differs between engines")
     if warm_hits < 1:
         failures.append(f"{name}: warm re-grade did not hit the trace cache")
 
     # --- throughput gates ------------------------------------------------
-    if cold_rate <= batch_rate:
-        failures.append(
-            f"{name}: compiled ({cold_rate:,.0f} faults/s) is not faster "
-            f"than the batch engine ({batch_rate:,.0f} faults/s)"
-        )
     if not quick and diff_seconds / warm_seconds < FULL_SPEEDUP_FLOOR:
         failures.append(
             f"{name}: compiled steady-state speedup "
@@ -212,7 +173,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI mode: sample the batch engine and skip the 3x floor",
+        help="CI mode: skip the 3x steady-state floor",
     )
     args = parser.parse_args(argv)
     text, failures = run_bench(quick=args.quick)

@@ -3,13 +3,14 @@
 The paper graded its self-test programs by fault-simulating the *entire
 processor netlist* executing them, observing the primary outputs.  This
 bench does exactly that on the composed gate-level core: the Phase A+B
-self-test runs inside the parallel-fault simulator with the memory bus
-observed every cycle.
+self-test runs inside the packed fault-parallel engine with the memory
+bus observed every cycle.
 
-Grading all ~30k collapsed fault classes flat costs hours in pure Python,
-so a uniform random sample provides an unbiased coverage estimate with a
-95% confidence interval; the hierarchical Table 5 figure must fall inside
-it (plus a small allowance for the universes' boundary differences).
+Grading all ~39k collapsed fault classes flat costs close to an hour in
+pure Python, so a uniform random sample provides an unbiased coverage
+estimate with a 95% confidence interval; the hierarchical Table 5 figure
+must fall inside it (plus a small allowance for the universes' boundary
+differences).
 """
 
 from conftest import cached_campaign, run_once, write_result

@@ -12,8 +12,9 @@ picks an engine (``"auto"``) and returns a
   simulation over levelized netlists (one Python bitwise op evaluates a gate
   under every pattern at once);
 * :mod:`~repro.faultsim.engine` — the :class:`FaultSimEngine` registry and
-  the engines (``differential``, ``batch``, ``packed`` and its second
-  name ``compiled``) behind the :func:`grade` facade;
+  the two engines (``differential``, the reference oracle, and
+  ``packed``, also registered as ``batch`` and ``compiled``) behind the
+  :func:`grade` facade;
 * :mod:`~repro.faultsim.options` — the one validated
   :class:`GradeOptions` object every grading entry point shares;
 * :mod:`~repro.faultsim.packed` — the one lowered engine: fault-parallel
@@ -64,7 +65,6 @@ from repro.faultsim.options import (
 )
 from repro.faultsim.harness import CampaignResult
 from repro.faultsim.engine import (
-    BatchEngine,
     CompiledEngine,
     DifferentialEngine,
     FaultSimEngine,
@@ -72,7 +72,6 @@ from repro.faultsim.engine import (
     engine_names,
     get_engine,
     grade,
-    register_engine,
 )
 from repro.faultsim.packed import PackedEngine
 
@@ -103,7 +102,6 @@ __all__ = [
     "GradeOptions",
     "resolve_prune_mode",
     "CampaignResult",
-    "BatchEngine",
     "CompiledEngine",
     "DifferentialEngine",
     "PackedEngine",
@@ -112,5 +110,4 @@ __all__ = [
     "engine_names",
     "get_engine",
     "grade",
-    "register_engine",
 ]

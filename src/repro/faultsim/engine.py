@@ -1,32 +1,32 @@
 """Fault-simulation engines behind one facade: :func:`grade`.
 
-Three engines grade a fault universe against a stimulus:
+Two engine implementations grade a fault universe against a stimulus:
 
 * ``differential`` — per-fault event-driven difference propagation against
   the recorded good trace (:mod:`repro.faultsim.differential`).  Excels
   when most faults drop quickly or never excite (sequential traces,
   shallow circuits), and is the reference oracle the benches gate on.
-* ``batch`` — the lane-parallel interpreter
-  (:mod:`repro.faultsim.parallel`): a batch of faults rides the bit lanes
-  of one full-circuit walk.  The slow-but-simple cross-check engine.
 * ``packed`` — the one lowered engine (:mod:`repro.faultsim.packed`): the
   netlist is lowered once to generated level kernels
   (:mod:`repro.faultsim.lowering`) and fault-parallel words carry the
   good machine in group/lane 0 next to a batch of fault classes, through
-  one combinational pass and one sequential cycle walk.  ``compiled`` is
-  registered as a second name for it (:class:`CompiledEngine`).
+  one combinational pass and one sequential cycle walk.  ``batch`` and
+  ``compiled`` are registered as further names for it
+  (:class:`BatchEngine`, :class:`CompiledEngine`), so requests and
+  instrumentation that name them keep working.
 
-All engines implement the :class:`FaultSimEngine` protocol and are
-registered by name; ``engine="auto"`` picks per netlist (the lowered
+Both engines implement the :class:`FaultSimEngine` protocol and are
+looked up by name; ``engine="auto"`` picks per netlist (the lowered
 engine wins on deep combinational circuits; the differential engine wins
 on sequential and very shallow ones, where per-fault early exits beat
 batch-wide evaluation).
 
-Detection verdicts — the ``detected`` flag, the ``excited`` flag and (for
-sequential stimulus) the first detecting cycle — are engine-invariant and
-cross-checked by the equivalence test-suite.  ``Detection.lanes`` is a
-*partial witness* (at least one detecting lane), not an exhaustive lane
-set: engines that short-circuit or drop faults may report fewer lanes.
+Detection verdicts — the ``detected`` flag, the ``excited`` flag and the
+first detecting cycle (always 0 for combinational stimulus) — are
+engine-invariant and cross-checked by the equivalence test-suite.
+``Detection.lanes`` is a *partial witness* (at least one detecting
+lane), not an exhaustive lane set: engines that short-circuit or drop
+faults may report fewer lanes.
 
 Structural collapsing (``GradeOptions(collapse=...)``) adds one caveat: a
 dominator verdict inferred from a detected child reuses the child's
@@ -41,7 +41,6 @@ minimum.  Detected flags, coverage and excitation stay exact either way
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Protocol
 
@@ -60,7 +59,6 @@ from repro.faultsim.options import (
     resolve_prune_mode,
 )
 from repro.faultsim.packed import PackedEngine
-from repro.faultsim.parallel import ParallelFaultSimulator
 from repro.faultsim.simulator import GoodTrace
 from repro.faultsim.store import (
     result_from_payload,
@@ -87,7 +85,6 @@ __all__ = [
     "get_engine",
     "grade",
     "prune_sets",
-    "register_engine",
     "resolve_prune_mode",
     "select_engine",
 ]
@@ -183,66 +180,6 @@ class DifferentialEngine:
         return result
 
 
-# -------------------------------------------------------------------- batch
-
-
-class BatchEngine:
-    """Lane-parallel interpreted grading (cross-check engine).
-
-    Detection comes from :meth:`ParallelFaultSimulator.run_batch` (lane 0
-    carries the good machine); the ``excited`` flag is derived afterwards
-    from the cached good trace so the verdict record matches the other
-    engines field by field.
-    """
-
-    name = "batch"
-
-    def __init__(self, batch_size: int = 255):
-        self.batch_size = batch_size
-
-    def grade(
-        self,
-        netlist: Netlist,
-        stimulus: Stimulus,
-        fault_list: FaultList,
-        plan: ObservePlan,
-        *,
-        name: str = "",
-        skip: frozenset[int] = frozenset(),
-        only: Sequence[int] | None = None,
-    ) -> CampaignResult:
-        sim = ParallelFaultSimulator(netlist, batch_size=self.batch_size)
-        observe_lists = plan.port_name_lists()
-        result = CampaignResult(
-            name or netlist.name, fault_list,
-            n_patterns=len(stimulus), pruned=set(skip),
-        )
-        reps = _graded_reps(fault_list, skip, only)
-        for start in range(0, len(reps), self.batch_size):
-            chunk = reps[start : start + self.batch_size]
-            faults = [fault_list.fault(r) for r in chunk]
-            for rep, detection in zip(
-                chunk, sim.run_batch(faults, stimulus, observe_lists),
-                strict=True,
-            ):
-                result.detections[rep] = detection
-                if detection.detected:
-                    result.detected.add(rep)
-        # Fill the excitation flag from the (cached) good trace; the
-        # interpreted batch pass itself never tracks it.
-        packed = not netlist.dffs
-        trace = good_trace_for(netlist, stimulus, packed=packed)
-        for rep, detection in result.detections.items():
-            excited = detection.detected or _excited(
-                fault_list.fault(rep), trace, packed
-            )
-            if excited != detection.excited:
-                result.detections[rep] = dataclasses.replace(
-                    detection, excited=excited
-                )
-        return result
-
-
 # ------------------------------------------------------------------ lowered
 
 
@@ -262,6 +199,16 @@ class CompiledEngine(PackedEngine):
     """
 
     name = "compiled"
+
+
+class BatchEngine(PackedEngine):
+    """The lowered engine under the name ``"batch"``.
+
+    Like :class:`CompiledEngine`, a subclass that only sets ``name``, so
+    requests and per-class instrumentation that name it keep working.
+    """
+
+    name = "batch"
 
 
 # ------------------------------------------------------------ prune modes
@@ -301,16 +248,16 @@ def prune_sets(
 
 # ----------------------------------------------------------------- registry
 
-_REGISTRY: dict[str, Callable[[], FaultSimEngine]] = {}
-
-
-def register_engine(name: str, factory: Callable[[], FaultSimEngine]) -> None:
-    """Register an engine class under ``name`` (instantiated per grade)."""
-    _REGISTRY[name] = factory
+_REGISTRY: dict[str, Callable[[], FaultSimEngine]] = {
+    "differential": DifferentialEngine,
+    "batch": BatchEngine,
+    "compiled": CompiledEngine,
+    "packed": PackedEngine,
+}
 
 
 def engine_names() -> tuple[str, ...]:
-    """Registered engine names, in registration order."""
+    """Registered engine names."""
     return tuple(_REGISTRY)
 
 
@@ -321,12 +268,6 @@ def get_engine(name: str) -> FaultSimEngine:
         known = ", ".join(sorted({*_REGISTRY, "auto"}))
         raise FaultSimError(f"unknown engine {name!r} (choose from {known})")
     return factory()
-
-
-register_engine("differential", DifferentialEngine)
-register_engine("batch", BatchEngine)
-register_engine("compiled", CompiledEngine)
-register_engine("packed", PackedEngine)
 
 
 def default_engine_name(netlist: Netlist) -> str:

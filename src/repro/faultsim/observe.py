@@ -1,13 +1,12 @@
 """One normalized observability plan shared by every fault-sim engine.
 
 Historically each engine parsed its own ``observe`` argument: the
-differential harness took per-cycle ``{port: lane-mask}`` mappings, the
-batch engine accepted ``Mapping | set | frozenset | tuple | list`` entries
-and only used the keys, and the combinational campaign took per-pattern
-port-name sequences.  :class:`ObservePlan` normalizes all of those forms
-once — validation (entry count, port names) happens in exactly one place —
-and every engine converts the plan to its internal representation through
-the accessors below.
+differential harness took per-cycle ``{port: lane-mask}`` mappings and
+the combinational campaign took per-pattern port-name sequences.
+:class:`ObservePlan` normalizes all of those forms once — validation
+(entry count, port names) happens in exactly one place — and every engine
+converts the plan to its internal representation through the accessors
+below.
 
 Accepted per-entry forms (one entry per pattern / cycle):
 
@@ -168,25 +167,6 @@ class ObservePlan:
             entry = (pin, build())
             memo[key] = entry
         return entry[1]
-
-    def port_name_lists(self) -> list[tuple[str, ...]] | None:
-        """Per entry, the observed port names (batch-engine form).
-
-        A port with an explicit zero lane mask is dropped; any non-zero
-        (or all-lanes) mask observes the port fully — batch lanes carry
-        *faults*, so partial lane masks are not meaningful there.
-        """
-        if self.entries is None:
-            return None
-        entries = self.entries
-        return self._memo(  # type: ignore[return-value]
-            ("ports",),
-            None,
-            lambda: [
-                tuple(n for n, m in entry if m is None or m)
-                for entry in entries
-            ],
-        )
 
     def net_masks(
         self, netlist: Netlist, full_mask: int

@@ -6,8 +6,10 @@ classic parallel-fault trick: up to ``lanes - 1`` fault classes are packed
 into one Python big-int next to the good machine, so each generated kernel
 evaluation serves a whole group of faults at once and the per-gate
 interpreter overhead is amortized across the group.  The engine registers
-as ``packed`` and, through its subclass
-:class:`~repro.faultsim.engine.CompiledEngine`, as ``compiled``.
+as ``packed`` and, through its subclasses
+:class:`~repro.faultsim.engine.CompiledEngine` and
+:class:`~repro.faultsim.engine.BatchEngine`, as ``compiled`` and
+``batch``.
 
 Data layout (combinational).  One word carries ``G`` *lane groups* of
 ``W`` pattern lanes each — group 0 is the good machine, group ``i >= 1``
@@ -27,10 +29,10 @@ Lane repacking.  Detected faults leave the pending list after every
 pattern chunk, and the next chunk re-packs the survivors densely into
 fresh groups — wider chunks only ever carry the stubborn faults.
 
-Cone fusion.  Unlike the other engines this one preserves the *caller's*
-``only`` order instead of re-canonicalising: collapsed grading passes
-super-class sim units in :meth:`CollapseMap.simulation_order`, which
-keeps dominance clusters (shared fanout cones) contiguous — so the
+Cone fusion.  Unlike the differential engine this one preserves the
+*caller's* ``only`` order instead of re-canonicalising: collapsed grading
+passes super-class sim units in :meth:`CollapseMap.simulation_order`,
+which keeps dominance clusters (shared fanout cones) contiguous — so the
 members of one cone land in the same word and one kernel evaluation
 serves the whole super-class group.  Verdicts are order-independent, so
 this is purely a locality win.
@@ -41,11 +43,11 @@ is read out of the word itself instead of the recorded trace.  Detected
 lanes drop out at once, and the word is repacked onto fewer lanes when
 occupancy falls below :data:`REPACK_THRESHOLD`.
 
-Verdicts are bit-identical to the other engines (the cross-engine
-equivalence suite and ``benchmarks/bench_packed.py`` gate this against
-the differential engine): ``detected``, ``excited`` and the first
-detecting cycle agree; ``Detection.lanes`` remains a partial witness as
-documented in :mod:`repro.faultsim.engine`.
+Verdicts are bit-identical to the differential reference engine (the
+cross-engine equivalence suite and ``benchmarks/bench_packed.py`` gate
+this): ``detected``, ``excited`` and the first detecting cycle agree;
+``Detection.lanes`` remains a partial witness as documented in
+:mod:`repro.faultsim.engine`.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ from repro.faultsim.harness import (
 from repro.faultsim.lowering import CompiledSeq, cached_compile_seq
 from repro.faultsim.observe import ObservePlan
 from repro.faultsim.options import DEFAULT_LANES, GradeOptions
-from repro.faultsim.parallel import _eval
 from repro.faultsim.trace_cache import good_trace_for
+from repro.netlist.gates import eval_gate
 from repro.netlist.netlist import (
     CONST0,
     CONST1,
@@ -624,7 +626,7 @@ def _apply_fixes(
             vals = [v[n] for n in gate.inputs]
             for pin, (f_set, f_clear) in pins.items():
                 vals[pin] = (vals[pin] & ~f_clear) | f_set
-            v[gate.output] = _eval(gate.gtype, vals, full)
+            v[gate.output] = eval_gate(gate.gtype, vals, full)
     if fixes:
         for net, (f_set, f_clear) in fixes.items():
             v[net] = (v[net] & ~f_clear) | f_set

@@ -8,17 +8,18 @@ response stream, Figure 1).
 
 Mechanically: a good gate-level run records the per-cycle primary inputs
 (the instruction and data words the memories returned); the recorded
-sequence is then graded by the lane-batched engine
-(:class:`~repro.faultsim.engine.BatchEngine`) with every bus output
-observed on every cycle.  Replaying recorded inputs is sound for
-detection because any divergence a fault could cause in the fetch/data
-streams must first appear on the observed bus outputs themselves.
+sequence is then graded by the lowered fault-parallel engine
+(:class:`~repro.faultsim.packed.PackedEngine`, its sequential cycle walk
+with the good machine in lane 0) with every bus output observed on every
+cycle.  Replaying recorded inputs is sound for detection because any
+divergence a fault could cause in the fetch/data streams must first
+appear on the observed bus outputs themselves.
 
-Grading all ~30k collapsed faults of the full core this way costs hours in
-pure Python, so :func:`flat_campaign` supports *sampling*: a uniform random
-subset of fault classes gives an unbiased coverage estimate with a
-quantifiable confidence interval — enough to validate the hierarchical
-Table 5 number.
+Grading all ~39k collapsed faults of the full core this way costs close
+to an hour in pure Python, so :func:`flat_campaign` supports *sampling*:
+a uniform random subset of fault classes gives an unbiased coverage
+estimate with a quantifiable confidence interval — enough to validate the
+hierarchical Table 5 number.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from repro.faultsim.engine import BatchEngine
+from repro.errors import WatchdogTimeout
 from repro.faultsim.faults import FaultList, build_fault_list
 from repro.faultsim.observe import ObservePlan
+from repro.faultsim.packed import PackedEngine
 from repro.isa.program import Program
 from repro.netlist.netlist import Netlist
 from repro.plasma.cosim import GateLevelPlasma
@@ -78,7 +80,12 @@ class FlatResult:
 def record_good_run(
     program: Program, netlist: Netlist, max_cycles: int = 60_000
 ) -> list[dict[str, int]]:
-    """Execute the program on gates, recording per-cycle primary inputs."""
+    """Execute the program on gates, recording per-cycle primary inputs.
+
+    Raises:
+        WatchdogTimeout: the good run did not reach the halt loop within
+            ``max_cycles``.
+    """
     gate = GateLevelPlasma(netlist)
     gate.load_program(program)
     inputs: list[dict[str, int]] = []
@@ -100,7 +107,9 @@ def record_good_run(
     gate.step = recording_step  # type: ignore[method-assign]
     result = gate.run(max_cycles=max_cycles)
     if not result.halted:
-        raise RuntimeError("good gate-level run did not halt")
+        raise WatchdogTimeout(
+            f"good gate-level run did not halt within {max_cycles} cycles"
+        )
     return inputs
 
 
@@ -109,7 +118,6 @@ def flat_campaign(
     netlist: Netlist | None = None,
     sample: int | None = 1000,
     seed: int = 2003,
-    batch_size: int = 250,
     fault_list: FaultList | None = None,
 ) -> FlatResult:
     """Fault-grade the full processor executing ``program``.
@@ -119,7 +127,7 @@ def flat_campaign(
         netlist: composed processor (built fresh when omitted).
         sample: number of collapsed fault classes to grade (None = all).
         seed: sampling seed.
-        batch_size: faults per parallel-simulation pass.
+        fault_list: the core's fault universe (built when omitted).
 
     Returns:
         The (sampled) flat coverage estimate.
@@ -137,7 +145,7 @@ def flat_campaign(
     else:
         chosen = list(reps)
 
-    engine = BatchEngine(batch_size=batch_size)
+    engine = PackedEngine()
     plan = ObservePlan.from_spec(observe, len(cycle_inputs), netlist)
     skip = frozenset(set(reps) - set(chosen))
     result = engine.grade(

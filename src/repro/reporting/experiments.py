@@ -124,12 +124,12 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         "benchmarks/bench_ablation_priority.py",
     ),
     Experiment(
-        "E1", "Engine validation (differential vs parallel-fault)",
+        "E1", "Engine validation (differential vs packed fault-parallel)",
         "Grade the same component/stimulus/observability through the "
-        "event-driven differential engine and the lane-batched "
-        "parallel-fault engine; verdicts must agree fault by fault",
-        "Phase A BSH trace",
-        ("repro.faultsim.differential", "repro.faultsim.parallel"),
+        "event-driven differential engine and the lowered fault-parallel "
+        "packed engine; verdicts must agree fault by fault",
+        "Phase A ALU and BSH traces",
+        ("repro.faultsim.differential", "repro.faultsim.packed"),
         "benchmarks/bench_engines.py",
         ("two independent engines, identical verdicts",),
     ),
@@ -162,9 +162,9 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         "self-test program, observing the memory bus every cycle (the "
         "paper's FlexTest setup); a uniform fault sample estimates the "
         "flat coverage, which must agree with the hierarchical Table 5",
-        "Phase A+B program over PlasmaTop in the parallel-fault simulator, "
-        "uniform random fault sample with a 95% confidence interval",
-        ("repro.plasma.flatsim", "repro.faultsim.parallel"),
+        "Phase A+B program over PlasmaTop in the packed fault-parallel "
+        "engine, uniform random fault sample with a 95% confidence interval",
+        ("repro.plasma.flatsim", "repro.faultsim.packed"),
         "benchmarks/bench_validation_flat_processor.py",
         ("flat estimate and hierarchical figure agree within the sampling "
          "interval",),

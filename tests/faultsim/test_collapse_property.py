@@ -8,12 +8,11 @@ sequential), every engine, random shard partitions, and the SAT
 spot-check over real Plasma components.
 
 Comparison contract: detected sets and per-class excitation flags must
-match exactly.  Detection *cycles* are compared only where the engines
-define them identically — an inferred dominator verdict reuses its
-child's detection record (an upper bound on the dominator's own first
-detection), and the batch engine reports the detecting pattern index for
-combinational stimulus, so cycle equality across modes is not part of
-the contract (see the engine module docstring).
+match exactly.  Detection *cycles* are not compared across modes: an
+inferred dominator verdict reuses its child's detection record (an upper
+bound on the dominator's own first detection), so cycle equality between
+collapse on and off is not part of the contract (see the engine module
+docstring).
 """
 
 import random
@@ -26,7 +25,7 @@ from repro.faultsim import GradeOptions, build_fault_list, grade
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.gates import GateType
 
-ENGINES = ("differential", "batch", "compiled", "packed")
+ENGINES = ("differential", "packed")
 
 
 def random_comb(seed: int, n_gates: int = 25) -> "Netlist":

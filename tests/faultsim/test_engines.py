@@ -1,8 +1,8 @@
 """Cross-engine equivalence and facade tests for the grade() API.
 
 Every shipped Plasma component is graded with its traced phase-A stimulus
-(truncated to keep tier-1 fast) through the three engine implementations
-(``compiled`` is a second name for ``packed``, pinned by
+(truncated to keep tier-1 fast) through the two engine implementations
+(``batch`` and ``compiled`` are further names for ``packed``, pinned by
 :class:`TestOneLoweredEngine`); verdicts must agree fault by fault and the
 Table 5 rows must be bit-identical.  The packed sequential walk's fault
 dropping and lane repacking are additionally stress-tested against the
@@ -10,6 +10,7 @@ differential engine with deliberately tiny batches and aggressive repack
 settings.
 """
 
+import importlib
 import inspect
 import random
 
@@ -28,6 +29,7 @@ from repro.faultsim import (
 )
 from repro.faultsim.engine import (
     AUTO_MIN_DEPTH,
+    BatchEngine,
     CompiledEngine,
     default_engine_name,
     engine_names,
@@ -44,7 +46,7 @@ from repro.netlist.levelize import depth
 from repro.plasma.components import COMPONENTS, build_component
 from repro.service.schemas import parse_campaign_request
 
-ENGINES = ("differential", "batch", "packed")
+ENGINES = ("differential", "packed")
 
 #: Stimulus truncation per component (cycles for sequential components,
 #: patterns for combinational ones) — full traces make tier-1 too slow.
@@ -53,8 +55,8 @@ STIMULUS_CAP = {
     "GL": 300, "ALU": 150, "BSH": 200, "CTRL": 300, "BMUX": 300,
 }
 
-#: Fault-class sampling for the two largest components (the batch and
-#: differential engines are too slow for their full universes here).
+#: Fault-class sampling for the two largest components (the differential
+#: engine is too slow for their full universes here).
 FAULT_SAMPLE = {"RegF": 350, "MulD": 400}
 
 
@@ -121,7 +123,6 @@ class TestCrossEngineEquivalence:
             for engine in ENGINES
         }
         want = results["differential"]
-        sequential = bool(netlist.dffs)
         for engine in ENGINES[1:]:
             got = results[engine]
             assert set(got.detections) == set(want.detections), engine
@@ -130,7 +131,9 @@ class TestCrossEngineEquivalence:
                 assert (g.detected, g.excited) == (d.detected, d.excited), (
                     engine, fault_list.fault(rep).describe(netlist)
                 )
-                if sequential and d.detected:
+                # First detecting cycle: the cycle index on sequential
+                # components, always 0 on combinational ones.
+                if d.detected:
                     assert g.cycle == d.cycle, (engine, rep)
             assert got.detected == want.detected, engine
             assert got.fault_coverage == want.fault_coverage, engine
@@ -232,9 +235,10 @@ class TestDroppingAndRepacking:
             netlist, patterns, fault_list, plan
         )
         assert got.detected == want.detected
-        assert {r: (d.detected, d.excited)
+        assert {r: (d.detected, d.cycle, d.excited)
                 for r, d in got.detections.items()} == {
-            r: (d.detected, d.excited) for r, d in want.detections.items()
+            r: (d.detected, d.cycle, d.excited)
+            for r, d in want.detections.items()
         }
 
 
@@ -275,10 +279,18 @@ class TestFacade:
         assert selected.lanes == 8
 
     def test_empty_stimulus_messages(self):
-        with pytest.raises(FaultSimError, match="no patterns to apply"):
-            grade(adder4(), [])
-        with pytest.raises(FaultSimError, match="no cycles to apply"):
-            grade(build_register_file(n_registers=4, width=4), [])
+        for engine in ("auto", *ENGINES):
+            opts = GradeOptions(engine=engine)
+            with pytest.raises(FaultSimError, match="no patterns to apply"):
+                grade(adder4(), [], options=opts)
+            with pytest.raises(FaultSimError, match="no cycles to apply"):
+                grade(build_register_file(n_registers=4, width=4), [],
+                      options=opts)
+            # An observe list of the wrong length is rejected before any
+            # engine runs.
+            with pytest.raises(FaultSimError, match="observe list has 2"):
+                grade(adder4(), [dict(a=0, x=0, cin=0)],
+                      options=GradeOptions(engine=engine, observe=[(), ()]))
 
     def test_facade_matches_engine_protocol(self):
         netlist = adder4()
@@ -311,7 +323,7 @@ def _cli_engine_choices():
 
 
 class TestOneLoweredEngine:
-    """``compiled`` is the packed engine under a second name.
+    """``batch`` and ``compiled`` are the packed engine under other names.
 
     ``auto`` resolving deep combinational netlists to ``packed`` is pinned
     by ``TestFacade.test_auto_picks_packed_for_deep_combinational``.
@@ -321,6 +333,22 @@ class TestOneLoweredEngine:
         assert issubclass(CompiledEngine, PackedEngine)
         assert CompiledEngine.grade is PackedEngine.grade
         assert get_engine("compiled").name == "compiled"
+
+    def test_batch_is_the_packed_engine(self):
+        assert issubclass(BatchEngine, PackedEngine)
+        assert BatchEngine.grade is PackedEngine.grade
+        assert BatchEngine.name == "batch"
+        assert get_engine("batch").name == "batch"
+        # The subclass only renames: no behaviour of its own.
+        own = {k for k in vars(BatchEngine) if not k.startswith("__")}
+        assert own == {"name"}
+
+    def test_interpreted_batch_engine_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.faultsim.parallel")
+
+    def test_engine_names_unchanged(self):
+        assert engine_names() == ("differential", "batch", "compiled", "packed")
 
     def test_pattern_parallel_lowering_is_gone(self):
         # Per-level kernels are the only lowering left.

@@ -20,13 +20,20 @@ class TestConstruction:
         plan = ObservePlan.from_spec(None, 3)
         assert plan.observes_everything
         assert plan.n_entries == 3
-        assert plan.port_name_lists() is None
-        assert plan.packed_net_masks(two_output_netlist()) is None
+        netlist = two_output_netlist()
+        assert plan.net_masks(netlist, full_mask=0b1) is None
+        assert plan.packed_net_masks(netlist) is None
 
     def test_port_name_entries(self):
+        netlist = two_output_netlist()
         plan = ObservePlan.from_spec([("y",), ("y", "z"), ()], 3)
         assert not plan.observes_everything
-        assert plan.port_name_lists() == [("y",), ("y", "z"), ()]
+        y_net = netlist.port("y").nets[0]
+        z_net = netlist.port("z").nets[0]
+        # Named ports are observed on every lane of their entry.
+        assert plan.net_masks(netlist, full_mask=0b11) == [
+            {y_net: 0b11}, {y_net: 0b11, z_net: 0b11}, {},
+        ]
 
     def test_mapping_entries_keep_lane_masks(self):
         plan = ObservePlan.from_spec([{"y": 0b101}], 1)
@@ -60,8 +67,13 @@ class TestConstruction:
 
 class TestEngineRepresentations:
     def test_zero_mask_ports_dropped_from_name_lists(self):
-        plan = ObservePlan.from_spec([{"y": 0, "z": 1}], 1)
-        assert plan.port_name_lists() == [("z",)]
+        # An explicit zero mask drops the port from the entry in both
+        # engine representations.
+        netlist = two_output_netlist()
+        z_net = netlist.port("z").nets[0]
+        plan = ObservePlan.from_spec([{"y": 0, "z": 1}], 1, netlist)
+        assert plan.net_masks(netlist, full_mask=0b1) == [{z_net: 0b1}]
+        assert plan.packed_net_masks(netlist) == {z_net: 0b1}
 
     def test_net_masks_clip_to_full_mask(self):
         netlist = two_output_netlist()

@@ -10,7 +10,7 @@ on and off, random shard partitions, and a real campaign.
 Comparison contract (the repo-wide cross-config verdict contract, see
 ``tests/faultsim/test_engines.py``): per-fault ``(detected, excited)``
 and detection cycle, the detected set, coverage, pruned and proven sets.
-``Detection.lanes`` is a batch/packed packing artefact (the fault's
+``Detection.lanes`` is a packed-engine packing artefact (the fault's
 one-hot position inside its simulation word) and is *not* part of the
 contract — removing screened faults repacks the survivors.  For the
 differential engine full record equality is asserted on top.
@@ -35,7 +35,7 @@ from tests.faultsim.test_collapse_property import (
     random_seq,
 )
 
-ENGINES = ("differential", "batch", "compiled", "packed")
+ENGINES = ("differential", "packed")
 
 MASK32 = 0xFFFF_FFFF
 

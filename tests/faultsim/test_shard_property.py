@@ -18,7 +18,7 @@ from repro.faultsim import GradeOptions, build_fault_list, grade
 from repro.library import build_alu, build_register_file
 from repro.netlist.builder import NetlistBuilder
 
-ENGINES = ("differential", "batch", "compiled", "packed")
+ENGINES = ("differential", "packed")
 
 
 def _adder4():

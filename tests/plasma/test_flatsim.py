@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import WatchdogTimeout
 from repro.isa.assembler import assemble
 from repro.plasma.flatsim import (
     OBSERVED_OUTPUTS,
@@ -41,14 +42,14 @@ class TestRecording:
 
     def test_non_halting_program_raises(self, top):
         runaway = assemble(".text\nloop: addiu $t0, $t0, 1\nb loop\nnop")
-        with pytest.raises(RuntimeError):
+        with pytest.raises(WatchdogTimeout):
             record_good_run(runaway, top, max_cycles=200)
 
 
 class TestSampledCampaign:
     def test_sample_detects_faults(self, top):
         result = flat_campaign(
-            assemble(SMALL), netlist=top, sample=80, batch_size=40, seed=3
+            assemble(SMALL), netlist=top, sample=80, seed=3
         )
         assert result.n_sampled == 80
         assert 0 < result.n_detected < 80
